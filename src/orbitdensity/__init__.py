@@ -7,45 +7,32 @@ ingredient (interval combinatorics, exact rational limits, certified norm
 bounds) at desk scale.
 """
 
-from .densities import (
-    ALL_INTEGERS,
-    EMPTY_SET,
-    DensityReport,
-    IntegerSetView,
-    count_up_to,
-    density_ratios,
-    from_members,
-    upper_banach_density_estimate,
-)
+from .densities import DensityReport, density_ratios
 from .dyadic import (
     CLASS1,
     CLASS2,
-    BlockInterval,
     CheckReport,
     Checkpoints,
     SeparationParams,
     checkpoint_schedule,
     checkpoints_between,
     count_sites,
-    in_site_pool,
     in_site_set,
     min_alignment_exponent,
     nearest_site_distance,
-    scale_index,
     scale_mass,
     scale_mass_limit,
     site_members,
-    site_pool_members,
-    site_set_view,
     strip,
     strip_sites,
     verify_checkpoint_gap,
+    verify_class_limits,
+    verify_counting_bounds,
+    verify_mass_bound,
     verify_separation,
 )
 from .scalars import GaussianRational
 from .shift import (
-    SUP,
-    Functional,
     LazyVector,
     NormEstimate,
     ShiftOperator,
@@ -71,7 +58,6 @@ from .vector import (
     density_experiment,
     expansion_coefficient,
     one_block_family,
-    orbit_functional,
     predicted_density_limits,
     return_set,
     sign_cross_check,

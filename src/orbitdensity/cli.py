@@ -16,23 +16,13 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import dyadic, vector as vec
 from .densities import density_ratios
-from .dyadic import (
-    CheckReport,
-    SeparationParams,
-    checkpoint_schedule,
-    checkpoints_between,
-    count_sites,
-    scale_mass,
-    scale_mass_limit,
-    site_set_view,
-    strip_sites,
-)
+from .dyadic import SeparationParams, checkpoint_schedule, count_sites
 from .shift import ShiftOperator, tail_constant
 from .vector import (
     AssembledVector,
@@ -66,21 +56,36 @@ class RunConfig:
     out: str = "out"
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        """Reject a bad value before any stage runs or writes an artifact."""
+        for name in ("smax", "horizon", "series_horizon"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.checkpoints < 2:
+            raise ValueError("checkpoints must be >= 2 (one per checkpoint class)")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0):
+            raise ValueError("tail_tol must be finite and > 0")
+        if self.family not in ("one-block", "enumerated"):
+            raise ValueError(f"unknown family {self.family!r}")
+        self.params()
+        self.operator()
+
     def params(self) -> SeparationParams:
         if self.p_override is not None:
             return SeparationParams(d=self.d, p=self.p_override)
         return SeparationParams.with_min_p(self.d)
 
     def operator(self) -> ShiftOperator:
-        return ShiftOperator(weight=Fraction(self.omega),
-                             space_exponent=_parse_space(self.space))
+        try:
+            weight = Fraction(self.omega)
+        except ZeroDivisionError:
+            raise ValueError(f"omega {self.omega!r} has a zero denominator") from None
+        return ShiftOperator(weight=weight, space_exponent=_parse_space(self.space))
 
     def blocks(self, budgets):
         if self.family == "one-block":
             return one_block_family(budgets)
-        if self.family == "enumerated":
-            return dense_family_blocks(budgets)
-        raise ValueError(f"unknown family {self.family!r}")
+        return dense_family_blocks(budgets)
 
 
 def _parse_space(text: str) -> float:
@@ -138,16 +143,14 @@ def _env_overrides() -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        config = replace(config, **load_config_file(args.config))
-    config = replace(config, **_env_overrides())
-    cli_values = {}
+    """Merge file, environment and flags over the defaults; validate once."""
+    values = load_config_file(args.config) if args.config else {}
+    values.update(_env_overrides())
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
-            cli_values[f.name] = value
-    return replace(config, **cli_values)
+            values[f.name] = value
+    return RunConfig(**values)
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -168,21 +171,17 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_fact0(config: RunConfig, a_lo: int, a_hi: int, b_max: int) -> int:
     """Tabulate the selected-scale mass against its residue-class limits."""
-    out = _out_dir(config)
     rows = dyadic.mass_table_rows(a_lo, a_hi, b_max)
+    out = _out_dir(config)
     with open(out / "fact0.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(dyadic.MASS_TABLE_HEADER)
         writer.writerows(rows)
     failures = 0
-    sup_bound = dyadic.MASS_SUP_BOUND
-    for a in range(a_lo, a_hi + 1):
-        for b in range(a + 1, b_max + 1):
-            s = scale_mass(a, b)
-            if s > sup_bound:
-                failures += 1
-            if abs(s - scale_mass_limit(b % 5)) > 64 * Fraction(2 ** a, 2 ** b):
-                failures += 1
+    for a, b, _, s_num, s_den, limit_num, limit_den, _ in rows:
+        s = Fraction(s_num, s_den)
+        failures += s > dyadic.MASS_SUP_BOUND
+        failures += abs(s - Fraction(limit_num, limit_den)) > 64 * Fraction(2 ** a, 2 ** b)
     print(f"fact0: {len(rows)} rows, {failures} failures -> {out / 'fact0.csv'}")
     return 0 if failures == 0 else 1
 
@@ -197,74 +196,11 @@ def cmd_sets(config: RunConfig) -> int:
         print("sets: no checkpoint horizons within --horizon", file=sys.stderr)
         return 2
     for level in range(1, config.smax + 1):
-        report = density_ratios(site_set_view(params, level), horizons)
+        report = density_ratios(lambda n: count_sites(params, level, n), horizons)
         report.write_csv(out / f"sets_level{level}.csv")
         print(f"sets: level {level} tail ratio in "
               f"[{float(report.running_min):.6g}, {float(report.running_max):.6g}]")
     return 0
-
-
-def _report_counting_bounds(params: SeparationParams, max_level: int,
-                            max_scale: int) -> CheckReport:
-    violation = None
-    for level in range(1, max_level + 1):
-        for scale in range(params.min_scale(level), max_scale + 1):
-            count = len(strip_sites(params, level, scale))
-            expected = 2 ** (scale - 2 * level - params.p - 1)
-            if not expected - 2 <= count <= expected:
-                violation = {"condition": "site_count", "level": level,
-                             "scale": scale, "count": count,
-                             "required": [expected - 2, expected]}
-                break
-        if violation:
-            break
-    return CheckReport("counting_bounds", {"d": params.d, "p": params.p},
-                       {"max_level": max_level, "max_scale": max_scale},
-                       violation is None, violation)
-
-
-def _report_mass_bound(params: SeparationParams, max_level: int,
-                       schedule) -> CheckReport:
-    bound_num = dyadic.MASS_SUP_BOUND
-    violation = None
-    for level in range(1, max_level + 1):
-        cap = bound_num * Fraction(1, 2 ** (2 * level + params.p + 1))
-        for q, horizon in zip(schedule.exponents, schedule.horizons):
-            ratio = Fraction(count_sites(params, level, horizon), horizon)
-            if ratio > cap:
-                violation = {"condition": "mass_bound", "level": level, "q": q,
-                             "ratio": str(ratio), "required": str(cap)}
-                break
-        if violation:
-            break
-    return CheckReport("mass_bound", {"d": params.d, "p": params.p},
-                       {"max_level": max_level,
-                        "checkpoints": len(schedule)},
-                       violation is None, violation)
-
-
-def _report_class_limits(params: SeparationParams, max_level: int) -> CheckReport:
-    violation = None
-    try:
-        schedule = checkpoints_between(params, 20, 32)
-    except ValueError:
-        schedule = checkpoint_schedule(params, 6)
-    for level in range(1, max_level + 1):
-        base = Fraction(1, 2 ** (2 * level + params.p + 2))
-        for q, horizon, label in zip(schedule.exponents, schedule.horizons,
-                                     schedule.classes):
-            limit = base * scale_mass_limit(0 if label == dyadic.CLASS1 else 2)
-            ratio = Fraction(count_sites(params, level, horizon), horizon)
-            if abs(ratio - limit) > Fraction(2, 100) * limit:
-                violation = {"condition": "class_limit", "level": level,
-                             "q": q, "ratio": str(ratio), "limit": str(limit)}
-                break
-        if violation:
-            break
-    return CheckReport("class_limits", {"d": params.d, "p": params.p},
-                       {"max_level": max_level,
-                        "q_range": [schedule.exponents[0], schedule.exponents[-1]]},
-                       violation is None, violation)
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -276,10 +212,9 @@ def cmd_verify(config: RunConfig) -> int:
     reports = [
         dyadic.verify_separation(params, max_level, horizon),
         dyadic.verify_checkpoint_gap(params, max_level, min(config.checkpoints, 8)),
-        _report_counting_bounds(params, min(config.smax, 5), 26),
-        _report_mass_bound(params, min(config.smax, 3),
-                           checkpoint_schedule(params, config.checkpoints)),
-        _report_class_limits(params, min(config.smax, 3)),
+        dyadic.verify_counting_bounds(params, min(config.smax, 5), 26),
+        dyadic.verify_mass_bound(params, min(config.smax, 3), config.checkpoints),
+        dyadic.verify_class_limits(params, min(config.smax, 3)),
     ]
     _write_json(out / "verify_report.json", [r.to_json_dict() for r in reports])
     for report in reports:
@@ -426,26 +361,22 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each entry looks its command up at call time, so a rebound cmd_* is the
+# one that runs.
+_COMMANDS = {
+    "fact0": lambda config, args: cmd_fact0(config, args.a_min, args.a_max, args.b_max),
+    "sets": lambda config, args: cmd_sets(config),
+    "verify": lambda config, args: cmd_verify(config),
+    "vector": lambda config, args: cmd_vector(config),
+    "orbit": lambda config, args: cmd_orbit(config),
+    "all": lambda config, args: cmd_all(config),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        config = build_config(args)
-        if args.command == "fact0":
-            if not (0 <= args.a_min <= args.a_max < args.b_max):
-                print("fact0: need 0 <= a-min <= a-max < b-max", file=sys.stderr)
-                return 2
-            return cmd_fact0(config, args.a_min, args.a_max, args.b_max)
-        if args.command == "sets":
-            return cmd_sets(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "vector":
-            return cmd_vector(config)
-        if args.command == "orbit":
-            return cmd_orbit(config)
-        if args.command == "all":
-            return cmd_all(config)
-        raise AssertionError(args.command)
+        return _COMMANDS[args.command](build_config(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

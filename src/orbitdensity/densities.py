@@ -10,75 +10,10 @@ comparisons against rational limit values are decided without rounding.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
-
-
-@dataclass(frozen=True)
-class IntegerSetView:
-    """Immutable view of a set of positive integers.
-
-    ``membership`` must be a pure predicate.  The optional hooks provide
-    faster enumeration/counting than the O(horizon) membership scan; they
-    must agree with the predicate exactly (the test suite checks this for
-    the views built in this package).
-    """
-
-    membership: Callable[[int], bool]
-    enumerator: Optional[Callable[[int], list[int]]] = None
-    counter: Optional[Callable[[int], int]] = None
-    name: str = ""
-
-    def contains(self, n: int) -> bool:
-        return n >= 1 and self.membership(n)
-
-    def enumerate_up_to(self, horizon: int) -> list[int]:
-        """Ordered members <= horizon."""
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.enumerator is not None:
-            return self.enumerator(horizon)
-        return [n for n in range(1, horizon + 1) if self.membership(n)]
-
-    def count_up_to(self, horizon: int) -> int:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.counter is not None:
-            return self.counter(horizon)
-        return len(self.enumerate_up_to(horizon))
-
-
-def from_members(members: Iterable[int], name: str = "") -> IntegerSetView:
-    """View backed by an explicit sorted member list."""
-    sorted_members = sorted(set(members))
-    if sorted_members and sorted_members[0] < 1:
-        raise ValueError("members must be positive integers")
-    member_set = frozenset(sorted_members)
-
-    def enum(horizon: int) -> list[int]:
-        return sorted_members[: bisect_right(sorted_members, horizon)]
-
-    return IntegerSetView(
-        membership=lambda n: n in member_set,
-        enumerator=enum,
-        counter=lambda horizon: bisect_right(sorted_members, horizon),
-        name=name,
-    )
-
-
-EMPTY_SET = IntegerSetView(membership=lambda n: False, enumerator=lambda h: [],
-                           counter=lambda h: 0, name="empty")
-ALL_INTEGERS = IntegerSetView(membership=lambda n: True,
-                              enumerator=lambda h: list(range(1, h + 1)),
-                              counter=lambda h: h, name="all")
-
-
-def count_up_to(view: IntegerSetView, horizon: int) -> int:
-    """#{n in [1, horizon] : n in view}."""
-    return view.count_up_to(horizon)
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -113,12 +48,12 @@ class DensityReport:
             writer.writerows(self.rows())
 
 
-def density_ratios(view: IntegerSetView, checkpoints: Sequence[int],
+def density_ratios(count: Callable[[int], int], checkpoints: Sequence[int],
                    tail_window: int | None = None) -> DensityReport:
-    """Exact ratios count/checkpoint at each checkpoint.
+    """Exact ratios count(n)/n at each checkpoint n.
 
-    ``checkpoints`` must be strictly increasing; ``tail_window`` defaults to
-    the whole list.
+    ``count(n)`` is the number of set members in [1, n]; ``checkpoints``
+    must be strictly increasing; ``tail_window`` defaults to the whole list.
     """
     if not checkpoints:
         raise ValueError("checkpoint list must be non-empty")
@@ -126,7 +61,7 @@ def density_ratios(view: IntegerSetView, checkpoints: Sequence[int],
         raise ValueError("checkpoints must be strictly increasing")
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    counts = tuple(view.count_up_to(n) for n in checkpoints)
+    counts = tuple(count(n) for n in checkpoints)
     ratios = tuple(Fraction(c, n) for c, n in zip(counts, checkpoints))
     window = len(ratios) if tail_window is None else max(1, min(tail_window, len(ratios)))
     tail = ratios[-window:]
@@ -139,27 +74,3 @@ def density_ratios(view: IntegerSetView, checkpoints: Sequence[int],
         running_max=max(tail),
     )
 
-
-def upper_banach_density_estimate(view: IntegerSetView, window: int,
-                                  horizon: int) -> Fraction:
-    """Best window-relative count over all length-``window`` blocks in [1, horizon].
-
-    Scans start positions a with [a, a+window) inside [1, horizon+1); the
-    maximizing block can always be slid left until its left edge sits on a
-    member, so only member-aligned (and the right-clamped) starts are tried.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window > horizon:
-        raise ValueError("window must not exceed horizon")
-    members = view.enumerate_up_to(horizon)
-    if not members:
-        return Fraction(0)
-    last_start = horizon - window + 1
-    best = 0
-    for m in members:
-        start = min(m, last_start)
-        lo = bisect_left(members, start)
-        hi = bisect_right(members, start + window - 1)
-        best = max(best, hi - lo)
-    return Fraction(best, window)

@@ -28,13 +28,9 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, Optional
-
-from .densities import IntegerSetView
 
 SCALE_PERIOD = 5
 SELECTED_RESIDUES = (0, 2)
@@ -59,13 +55,6 @@ MASS_SUP_BOUND = Fraction(64, 31)
 def scale_selected(scale: int) -> bool:
     """True when the scale survives the residue filter."""
     return scale >= 0 and scale % SCALE_PERIOD in SELECTED_RESIDUES
-
-
-def scale_index(n: int) -> int:
-    """The unique j with 2^j <= n < 2^(j+1); requires n >= 2."""
-    if n < 2:
-        raise ValueError("scale index needs n >= 2")
-    return n.bit_length() - 1
 
 
 def min_alignment_exponent(d: int) -> int:
@@ -117,35 +106,15 @@ class SeparationParams:
         return 2 * level + self.p + 2
 
 
-DEFAULT_PARAMS = SeparationParams()
-
-
-@dataclass(frozen=True)
-class BlockInterval:
-    """Half-open strip [lo, hi) of level ``level`` inside the dyadic range of ``scale``."""
-
-    level: int
-    scale: int
-    lo: int
-    hi: int
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo
-
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n < self.hi
-
-
-def strip(level: int, scale: int) -> BlockInterval:
-    """The level-``level`` strip of the dyadic range [2^scale, 2^(scale+1))."""
+def strip(level: int, scale: int) -> tuple[int, int]:
+    """Bounds (lo, hi) of the half-open level-``level`` strip of [2^scale, 2^(scale+1))."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if scale < level:
         raise ValueError("scale must be >= level")
     lo = 2 ** (scale + 1) - 2 ** (scale - level + 1)
     hi = 2 ** (scale + 1) - 2 ** (scale - level)
-    return BlockInterval(level=level, scale=scale, lo=lo, hi=hi)
+    return lo, hi
 
 
 def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
@@ -160,25 +129,11 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
         raise ValueError(
             f"scale {scale} below minimum {params.min_scale(level)} for level {level}"
         )
-    block = strip(level, scale)
+    lo, hi = strip(level, scale)
     m = params.modulus(level)
-    first = ((block.lo + m - 1 + m - 1) // m) * m  # smallest multiple at margin >= m
-    last = block.hi - m  # largest multiple with hi - site >= m
+    first = ((lo + m - 1 + m - 1) // m) * m  # smallest multiple at margin >= m
+    last = hi - m  # largest multiple with hi - site >= m
     return range(first, last + 1, m)
-
-
-def in_site_pool(params: SeparationParams, level: int, n: int) -> bool:
-    """Membership in the level's site pool (all admissible scales)."""
-    if n < 2:
-        return False
-    m = params.modulus(level)
-    if n % m:
-        return False
-    scale = n.bit_length() - 1
-    if scale < params.min_scale(level):
-        return False
-    block = strip(level, scale)
-    return n - (block.lo - 1) >= m and block.hi - n >= m
 
 
 def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
@@ -191,15 +146,15 @@ def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
     scale = n.bit_length() - 1
     if not scale_selected(scale) or scale < params.min_scale(level):
         return False
-    block = strip(level, scale)
-    return n - (block.lo - 1) >= m and block.hi - n >= m
+    lo, hi = strip(level, scale)
+    return n - (lo - 1) >= m and hi - n >= m
 
 
-def _admissible_scales(params: SeparationParams, level: int, horizon: int,
-                       selected_only: bool) -> Iterator[int]:
+def _admissible_scales(params: SeparationParams, level: int, horizon: int) -> Iterator[int]:
+    """Selected scales from the level's minimum up to the horizon's scale."""
     scale = params.min_scale(level)
     while 2 ** scale <= horizon:
-        if not selected_only or scale_selected(scale):
+        if scale_selected(scale):
             yield scale
         scale += 1
 
@@ -207,20 +162,12 @@ def _admissible_scales(params: SeparationParams, level: int, horizon: int,
 def site_members(params: SeparationParams, level: int, horizon: int) -> list[int]:
     """Site set members <= horizon, sorted."""
     out: list[int] = []
-    for scale in _admissible_scales(params, level, horizon, selected_only=True):
+    for scale in _admissible_scales(params, level, horizon):
         sites = strip_sites(params, level, scale)
         if sites and sites[-1] <= horizon:
             out.extend(sites)
         else:
             out.extend(s for s in sites if s <= horizon)
-    return out
-
-
-def site_pool_members(params: SeparationParams, level: int, horizon: int) -> list[int]:
-    """Site pool members <= horizon, sorted."""
-    out: list[int] = []
-    for scale in _admissible_scales(params, level, horizon, selected_only=False):
-        out.extend(s for s in strip_sites(params, level, scale) if s <= horizon)
     return out
 
 
@@ -230,22 +177,12 @@ def count_sites(params: SeparationParams, level: int, horizon: int) -> int:
         raise ValueError("horizon must be >= 1")
     m = params.modulus(level)
     total = 0
-    for scale in _admissible_scales(params, level, horizon, selected_only=True):
+    for scale in _admissible_scales(params, level, horizon):
         sites = strip_sites(params, level, scale)
         top = min(sites[-1], horizon)
         if top >= sites[0]:
             total += (top - sites[0]) // m + 1
     return total
-
-
-def site_set_view(params: SeparationParams, level: int) -> IntegerSetView:
-    """Density-module view of the level's site set."""
-    return IntegerSetView(
-        membership=lambda n: in_site_set(params, level, n),
-        enumerator=lambda horizon: site_members(params, level, horizon),
-        counter=lambda horizon: count_sites(params, level, horizon),
-        name=f"sites(level={level},d={params.d},p={params.p})",
-    )
 
 
 def _largest_site_at_most(params: SeparationParams, level: int, n: int) -> Optional[int]:
@@ -410,13 +347,11 @@ class CheckReport:
             "first_violation": self.first_violation,
         }
 
-    def write_json(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
 
-
-def _params_dict(params: SeparationParams) -> dict:
-    return {"d": params.d, "p": params.p}
+def _report(check: str, params: SeparationParams, range_: dict,
+            violation: Optional[dict] = None) -> CheckReport:
+    return CheckReport(check, {"d": params.d, "p": params.p}, range_,
+                       violation is None, violation)
 
 
 def verify_separation(params: SeparationParams, max_level: int,
@@ -434,28 +369,28 @@ def verify_separation(params: SeparationParams, max_level: int,
     members = {level: site_members(params, level, horizon)
                for level in range(1, max_level + 1)}
 
-    def report(violation: Optional[dict]) -> CheckReport:
-        return CheckReport("separation", _params_dict(params), range_,
-                           violation is None, violation)
-
     for level, mem in members.items():
         floor = 2 ** (level + 1)
         if mem and mem[0] < floor:
-            return report({"condition": "min_floor", "level": level,
-                           "member": mem[0], "required": floor})
-        pool = site_pool_members(params, level, horizon)
+            return _report("separation", params, range_, {
+                "condition": "min_floor", "level": level,
+                "member": mem[0], "required": floor})
+        # Strips grow with the scale, so the pool's least member is the first
+        # site of the level's lowest admissible strip.
+        first = strip_sites(params, level, params.min_scale(level))
         pool_floor = 2 ** (2 * level + params.p + 2)
-        if pool and pool[0] < pool_floor:
-            return report({"condition": "pool_min_floor", "level": level,
-                           "member": pool[0], "required": pool_floor})
+        if first and first[0] <= horizon and first[0] < pool_floor:
+            return _report("separation", params, range_, {
+                "condition": "pool_min_floor", "level": level,
+                "member": first[0], "required": pool_floor})
 
     for level, mem in members.items():
         need = 2 ** (level + 1) + 2 * params.d + 1
         for a, b in zip(mem, mem[1:]):
             if b - a < need:
-                return report({"condition": "same_level_gap", "level": level,
-                               "i": a, "i_prime": b, "gap": b - a,
-                               "required": need})
+                return _report("separation", params, range_, {
+                    "condition": "same_level_gap", "level": level,
+                    "i": a, "i_prime": b, "gap": b - a, "required": need})
 
     for level in range(1, max_level + 1):
         for other in range(level + 1, max_level + 1):
@@ -466,10 +401,10 @@ def verify_separation(params: SeparationParams, max_level: int,
             )
             for (n1, l1), (n2, l2) in zip(merged, merged[1:]):
                 if l1 != l2 and n2 - n1 < need:
-                    return report({"condition": "cross_level_gap",
-                                   "levels": [l1, l2], "i": n1, "i_prime": n2,
-                                   "gap": n2 - n1, "required": need})
-    return report(None)
+                    return _report("separation", params, range_, {
+                        "condition": "cross_level_gap", "levels": [l1, l2],
+                        "i": n1, "i_prime": n2, "gap": n2 - n1, "required": need})
+    return _report("separation", params, range_)
 
 
 def verify_checkpoint_gap(params: SeparationParams, max_level: int,
@@ -484,9 +419,61 @@ def verify_checkpoint_gap(params: SeparationParams, max_level: int,
         for q, horizon in zip(schedule.exponents, schedule.horizons):
             dist = nearest_site_distance(params, level, horizon)
             if dist < need:
-                violation = {"condition": "checkpoint_gap", "level": level,
-                             "q": q, "horizon": horizon, "distance": dist,
-                             "required": need}
-                return CheckReport("checkpoint_gap", _params_dict(params),
-                                   range_, False, violation)
-    return CheckReport("checkpoint_gap", _params_dict(params), range_, True, None)
+                return _report("checkpoint_gap", params, range_, {
+                    "condition": "checkpoint_gap", "level": level, "q": q,
+                    "horizon": horizon, "distance": dist, "required": need})
+    return _report("checkpoint_gap", params, range_)
+
+
+def verify_counting_bounds(params: SeparationParams, max_level: int,
+                           max_scale: int) -> CheckReport:
+    """Per-strip site counts inside [2^(j-2s-p-1) - 2, 2^(j-2s-p-1)]."""
+    range_ = {"max_level": max_level, "max_scale": max_scale}
+    for level in range(1, max_level + 1):
+        for scale in range(params.min_scale(level), max_scale + 1):
+            count = len(strip_sites(params, level, scale))
+            expected = 2 ** (scale - 2 * level - params.p - 1)
+            if not expected - 2 <= count <= expected:
+                return _report("counting_bounds", params, range_, {
+                    "condition": "site_count", "level": level, "scale": scale,
+                    "count": count, "required": [expected - 2, expected]})
+    return _report("counting_bounds", params, range_)
+
+
+def verify_mass_bound(params: SeparationParams, max_level: int,
+                      count: int) -> CheckReport:
+    """Site-set counting ratios at the first ``count`` checkpoints stay under
+    the global mass supremum times 2^(-2s-p-1)."""
+    schedule = checkpoint_schedule(params, count)
+    range_ = {"max_level": max_level, "checkpoints": len(schedule)}
+    for level in range(1, max_level + 1):
+        cap = MASS_SUP_BOUND * Fraction(1, 2 ** (2 * level + params.p + 1))
+        for q, horizon in zip(schedule.exponents, schedule.horizons):
+            ratio = Fraction(count_sites(params, level, horizon), horizon)
+            if ratio > cap:
+                return _report("mass_bound", params, range_, {
+                    "condition": "mass_bound", "level": level, "q": q,
+                    "ratio": str(ratio), "required": str(cap)})
+    return _report("mass_bound", params, range_)
+
+
+def verify_class_limits(params: SeparationParams, max_level: int) -> CheckReport:
+    """Counting ratios at the checkpoints with q in [20, 32] (the first six
+    when none is admissible) within 2% of their class limit."""
+    try:
+        schedule = checkpoints_between(params, 20, 32)
+    except ValueError:
+        schedule = checkpoint_schedule(params, 6)
+    range_ = {"max_level": max_level,
+              "q_range": [schedule.exponents[0], schedule.exponents[-1]]}
+    for level in range(1, max_level + 1):
+        base = Fraction(1, 2 ** (2 * level + params.p + 2))
+        for q, horizon, label in zip(schedule.exponents, schedule.horizons,
+                                     schedule.classes):
+            limit = base * scale_mass_limit(0 if label == CLASS1 else 2)
+            ratio = Fraction(count_sites(params, level, horizon), horizon)
+            if abs(ratio - limit) > Fraction(2, 100) * limit:
+                return _report("class_limits", params, range_, {
+                    "condition": "class_limit", "level": level, "q": q,
+                    "ratio": str(ratio), "limit": str(limit)})
+    return _report("class_limits", params, range_)

@@ -26,10 +26,6 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(self.re))
         object.__setattr__(self, "im", Fraction(self.im))
 
-    @classmethod
-    def from_real(cls, value: Rational) -> "GaussianRational":
-        return cls(Fraction(value), Fraction(0))
-
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
 
@@ -53,9 +49,6 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def abs_sq(self) -> Fraction:
         """Exact squared modulus; used for all magnitude comparisons."""

@@ -23,8 +23,6 @@ from typing import Callable, Optional, Sequence
 
 from .scalars import GaussianRational, ZERO
 
-SUP = math.inf
-
 
 class NormCertificateError(RuntimeError):
     """Raised when a norm is requested without a usable decay certificate."""
@@ -51,18 +49,6 @@ class ShiftOperator:
     @property
     def is_sup_space(self) -> bool:
         return math.isinf(self.space_exponent)
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Coordinate-0 evaluation; support offsets {0}, guard radius 1."""
-
-    support: tuple[int, ...] = (0,)
-    guard_radius: int = 1
-
-    @staticmethod
-    def eval(vector: "LazyVector") -> GaussianRational:
-        return vector.coeff(0)
 
 
 Span = tuple[int, Optional[int]]  # half-open [start, stop); stop None = unbounded
@@ -269,20 +255,6 @@ def check_tail_bound(op: ShiftOperator, level: int, indices: Sequence[int],
         value = sum(abs(b) ** p * w ** (-n * p) for n, b in kept) ** (1.0 / p)
     bound = tail_constant(op, level) * max_weight
     return value <= bound * (1.0 + rel_slack) + 1e-300
-
-
-def dump_vector_csv(vector: LazyVector, indices: Sequence[int],
-                    path) -> None:
-    """Debug dump of exact coordinates (index, re_num, re_den, im_num, im_den)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("index", "re_num", "re_den", "im_num", "im_den"))
-        for index in indices:
-            value = vector.coeff(index)
-            writer.writerow((index, value.re.numerator, value.re.denominator,
-                             value.im.numerator, value.im.denominator))
 
 
 def verify_chain_spans(op: ShiftOperator, max_step: int) -> bool:

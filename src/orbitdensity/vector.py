@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .densities import IntegerSetView
 from .dyadic import (
     SeparationParams,
     Checkpoints,
@@ -38,7 +36,6 @@ from .dyadic import (
     is_checkpoint_horizon,
     scale_mass_limit,
     site_members,
-    verify_separation,
 )
 from .scalars import GaussianRational, ZERO, ONE
 from .shift import (
@@ -73,10 +70,6 @@ class LevelBudgets:
         if level < 1:
             raise ValueError("level must be >= 1")
         return Fraction(level)
-
-    @property
-    def growth_unbounded(self) -> bool:
-        return True  # c(s) = s by construction
 
 
 def build_level_budgets(op: ShiftOperator, max_level: int) -> LevelBudgets:
@@ -243,13 +236,12 @@ class AssembledVector:
 
     Construction enforces the closed-form spacing inequalities that keep the
     placed windows of all level pairs disjoint with clearance at least
-    2d + 1; an optional ``check_horizon`` additionally runs the exhaustive
-    member-level verification up to that horizon.
+    2d + 1; ``dyadic.verify_separation`` checks the same spacing member by
+    member.
     """
 
     def __init__(self, params: SeparationParams, op: ShiftOperator,
-                 budgets: LevelBudgets, blocks: Mapping[int, CoefficientBlock],
-                 check_horizon: int | None = None) -> None:
+                 budgets: LevelBudgets, blocks: Mapping[int, CoefficientBlock]) -> None:
         if not params.is_admissible():
             raise ValueError("separation parameters are not admissible")
         self.params = params
@@ -276,11 +268,6 @@ class AssembledVector:
             for t in range(s + 1, self.max_level + 1):
                 if params.modulus(t) - 2 ** s - 2 ** t < clearance:
                     raise ValueError(f"cross-level windows too close for {s},{t}")
-
-        if check_horizon is not None:
-            report = verify_separation(params, self.max_level, check_horizon)
-            if not report.passed:
-                raise ValueError(f"separation check failed: {report.first_violation}")
 
         # hot-path data for coefficient lookups: (level, modulus, radius, coeffs)
         self._lookup = tuple(
@@ -323,25 +310,17 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
     return ZERO
 
 
-def orbit_functional(av: AssembledVector, n: int) -> GaussianRational:
-    """Half-space functional of the n-step orbit point, exact.
-
-    For the shift the n-th orbit coordinate 0 equals w^n * b(n) * w^(-n),
-    so the value is b(n) itself.
-    """
-    if n < 1:
-        raise ValueError("orbit step must be >= 1")
-    return expansion_coefficient(av, n)
-
-
 class SeriesOracle:
     """Independent summation route to the orbit functional.
 
-    Materializes every level's site list once, then evaluates the n-step
-    functional by summing the placed-block series at coordinate n and
-    rescaling by the n-th weight power.  The rescale is done in exact
-    rational arithmetic (w^n overflows floats long before the horizon) and
-    only the final value is converted to a complex float.
+    The n-step functional is coordinate n of the vector times w^n, which is
+    the sum of the placed block coefficients a_{k-n} over the sites k whose
+    windows cover n.  Every level's site list is materialized once from the
+    ``strip_sites`` ranges (via ``site_members``), and the covering sites
+    are found by ``bisect`` on those lists.  No ``in_site_set`` or
+    ``expansion_coefficient`` call is involved, so this route shares no
+    membership test with the route it checks.  The sum is exact; only the
+    final value is converted to a complex float.
     """
 
     def __init__(self, av: AssembledVector, horizon: int) -> None:
@@ -366,10 +345,7 @@ class SeriesOracle:
             hi = bisect_right(members, n + radius)
             for k in members[lo:hi]:
                 total = total + block.a(k - n)
-        if not total:
-            return 0j
-        coordinate = total * (av.op.weight ** -n)  # exact coordinate n of the vector
-        return complex(coordinate * (av.op.weight ** n))
+        return complex(total)
 
 
 def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
@@ -428,12 +404,6 @@ class ReturnSet:
 
     members: tuple[int, ...]
     horizon: int
-    view: IntegerSetView
-
-    def count_up_to(self, n: int) -> int:
-        if n > self.horizon:
-            raise ValueError("beyond materialization horizon")
-        return bisect_right(self.members, n)
 
 
 def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> ReturnSet:
@@ -464,11 +434,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
         members = sorted(found)
     else:
         raise ValueError("method must be 'sites' or 'scan'")
-    view = IntegerSetView(
-        membership=lambda n: expansion_coefficient(av, n).re > 0,
-        name="return-set",
-    )
-    return ReturnSet(members=tuple(members), horizon=horizon, view=view)
+    return ReturnSet(members=tuple(members), horizon=horizon)
 
 
 def checkpoint_count(av: AssembledVector, horizon: int) -> int:
@@ -633,10 +599,6 @@ class DensityExperiment:
             ],
         }
 
-    def write_json(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-
 
 def density_experiment(av: AssembledVector, schedule: Checkpoints,
                        tail_window: int | None = None) -> DensityExperiment:
@@ -677,7 +639,7 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
         raise ValueError("oracle horizon too small")
     bad: list[int] = []
     for n in range(1, n_max + 1):
-        exact = orbit_functional(av, n)
+        exact = expansion_coefficient(av, n)
         series = oracle.value(n)
         if float(abs(complex(exact))) <= 2 * tail_tol:
             continue

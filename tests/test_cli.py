@@ -136,3 +136,29 @@ class TestConfigMerging:
 
     def test_bad_space_is_usage_error(self, tmp_path):
         assert run(["vector", "--space", "banach", "--out", str(tmp_path)]) == 2
+
+
+class TestInvalidConfig:
+    @pytest.mark.parametrize("flags", [
+        ["--tail-tol", "nan"],
+        ["--tail-tol", "-1"],
+        ["--tail-tol", "inf"],
+        ["--horizon", "-5"],
+        ["--checkpoints", "1"],
+        ["--omega", "1/0"],
+        ["--d", "0"],
+    ], ids=["tail-tol-nan", "tail-tol-negative", "tail-tol-inf", "horizon-negative",
+            "one-checkpoint", "omega-zero-denominator", "d-zero"])
+    def test_exits_2_with_message(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach"])
+    def test_config_file_value_checked_before_any_stage(self, tmp_path, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run(["all", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -5,17 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitdensity import (
-    ALL_INTEGERS,
-    EMPTY_SET,
-    IntegerSetView,
-    count_up_to,
+    SeparationParams,
+    count_sites,
     density_ratios,
-    from_members,
-    site_set_view,
-    upper_banach_density_estimate,
+    in_site_set,
+    site_members,
 )
 
-EVENS = IntegerSetView(membership=lambda n: n % 2 == 0, name="evens")
+
+def evens(n):
+    return n // 2
+
+
+def all_integers(n):
+    return n
+
+
+def level1_sites(params):
+    return lambda n: count_sites(params, 1, n)
 
 
 def brute_level1_members(horizon):
@@ -37,110 +45,86 @@ def brute_level1_members(horizon):
 
 
 class TestCountUpTo:
+    """Counters count(n) = #(members in [1, n]), the form density_ratios takes."""
+
     def test_empty(self):
-        assert count_up_to(EMPTY_SET, 100) == 0
+        report = density_ratios(lambda n: 0, [1, 100])
+        assert report.counts == (0, 0)
+        assert report.running_max == 0
 
     def test_full(self):
-        assert count_up_to(ALL_INTEGERS, 100) == 100
+        report = density_ratios(all_integers, [1, 100])
+        assert report.counts == (1, 100)
+        assert report.running_min == 1
 
     def test_level1_sites_at_64(self, params):
-        view = site_set_view(params, 1)
-        assert count_up_to(view, 64) == 1
-        assert view.enumerate_up_to(64) == [40]
+        assert count_sites(params, 1, 64) == 1
+        assert site_members(params, 1, 64) == [40]
 
     def test_level1_matches_brute_force(self, params):
-        view = site_set_view(params, 1)
         for horizon in (64, 100, 256, 1000, 4096):
             expected = brute_level1_members(horizon)
-            assert view.enumerate_up_to(horizon) == expected
-            assert count_up_to(view, horizon) == len(expected)
+            assert site_members(params, 1, horizon) == expected
+            assert count_sites(params, 1, horizon) == len(expected)
 
-    def test_membership_scan_fallback(self):
-        view = IntegerSetView(membership=lambda n: n % 3 == 0)
-        assert view.enumerate_up_to(10) == [3, 6, 9]
-        assert view.count_up_to(10) == 3
+    def test_membership_scan_fallback(self, params):
+        # counting by a membership scan agrees with the closed-form counter
+        for horizon in (10, 64, 4096):
+            scanned = sum(in_site_set(params, 1, n) for n in range(1, horizon + 1))
+            assert scanned == count_sites(params, 1, horizon)
 
 
 class TestDensityRatios:
     def test_all_integers(self):
-        report = density_ratios(ALL_INTEGERS, [10, 100])
+        report = density_ratios(all_integers, [10, 100])
         assert report.ratios == (Fraction(1), Fraction(1))
 
     def test_evens(self):
-        report = density_ratios(EVENS, [10, 100])
+        report = density_ratios(evens, [10, 100])
         assert report.ratios == (Fraction(1, 2), Fraction(1, 2))
 
     def test_level1_sites(self, params):
-        report = density_ratios(site_set_view(params, 1), [64, 256, 2048])
+        report = density_ratios(level1_sites(params), [64, 256, 2048])
         assert report.counts == (1, 8, 71)
         assert report.ratios == (Fraction(1, 64), Fraction(8, 256), Fraction(71, 2048))
 
     def test_ratio_denominators_before_reduction(self, params):
-        report = density_ratios(site_set_view(params, 1), [64, 256])
+        report = density_ratios(level1_sites(params), [64, 256])
         for count, checkpoint, ratio in zip(report.counts, report.checkpoints,
                                             report.ratios):
             assert ratio == Fraction(count, checkpoint)
 
     def test_tail_window(self):
-        report = density_ratios(EVENS, [2, 10, 100], tail_window=2)
+        report = density_ratios(evens, [2, 10, 100], tail_window=2)
         assert report.tail_window == 2
         assert report.running_min == report.running_max == Fraction(1, 2)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            density_ratios(EVENS, [])
+            density_ratios(evens, [])
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
-            density_ratios(EVENS, [10, 10])
+            density_ratios(evens, [10, 10])
 
 
-class TestUpperBanach:
-    def test_evens(self):
-        assert upper_banach_density_estimate(EVENS, 10, 1000) == Fraction(1, 2)
-
-    def test_empty(self):
-        assert upper_banach_density_estimate(EMPTY_SET, 10, 100) == 0
-
-    def test_dominates_prefix_ratio(self, params):
-        view = site_set_view(params, 1)
-        estimate = upper_banach_density_estimate(view, 64, 4096)
-        prefix = Fraction(count_up_to(view, 4096), 4096)
-        assert estimate >= prefix
-
-    def test_window_exceeding_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            upper_banach_density_estimate(EVENS, 11, 10)
-
-    def test_concentrated_cluster(self):
-        view = from_members([50, 51, 52, 53, 54])
-        assert upper_banach_density_estimate(view, 5, 100) == 1
-
-
-@given(st.integers(1, 400), st.integers(1, 400), st.integers(2, 7))
-def test_count_monotone(n1, n2, step):
-    view = IntegerSetView(membership=lambda n: n % step == 0)
+@given(st.integers(1, 5000), st.integers(1, 5000), st.integers(1, 4))
+def test_count_monotone(n1, n2, level):
+    params = SeparationParams.with_min_p(1)
     lo, hi = min(n1, n2), max(n1, n2)
-    assert count_up_to(view, lo) <= count_up_to(view, hi)
-
-
-@given(st.sets(st.integers(1, 200), max_size=40), st.integers(1, 200))
-@settings(max_examples=60)
-def test_banach_equals_prefix_at_full_window(members, horizon):
-    view = from_members(members) if members else EMPTY_SET
-    estimate = upper_banach_density_estimate(view, horizon, horizon)
-    assert estimate >= Fraction(count_up_to(view, horizon), horizon)
+    assert count_sites(params, level, lo) <= count_sites(params, level, hi)
 
 
 @given(st.sets(st.integers(1, 300), min_size=1, max_size=50))
 @settings(max_examples=60)
 def test_ratios_within_unit_interval(members):
-    report = density_ratios(from_members(members), [10, 50, 300])
+    ordered = sorted(members)
+    report = density_ratios(lambda n: bisect_right(ordered, n), [10, 50, 300])
     assert all(0 <= r <= 1 for r in report.ratios)
 
 
 def test_csv_schema(tmp_path, params):
-    report = density_ratios(site_set_view(params, 1), [64, 256])
+    report = density_ratios(level1_sites(params), [64, 256])
     path = tmp_path / "report.csv"
     report.write_csv(path)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitdensity import dyadic
 from orbitdensity import (
     CLASS1,
     CLASS2,
@@ -11,29 +12,37 @@ from orbitdensity import (
     checkpoint_schedule,
     checkpoints_between,
     count_sites,
-    in_site_pool,
     in_site_set,
     min_alignment_exponent,
     nearest_site_distance,
-    scale_index,
     scale_mass,
     scale_mass_limit,
     site_members,
-    site_pool_members,
     strip,
     strip_sites,
     verify_checkpoint_gap,
+    verify_class_limits,
+    verify_counting_bounds,
+    verify_mass_bound,
     verify_separation,
 )
 from orbitdensity.dyadic import MASS_SUP_BOUND, is_checkpoint_horizon
 
+REPORT_KEYS = {"check", "params", "range", "pass", "first_violation"}
+
 
 def brute_sites(params, level, scale):
     """Distance-predicate scan over the whole strip; the test-side oracle."""
-    block = strip(level, scale)
+    lo, hi = strip(level, scale)
     m = params.modulus(level)
-    return [i for i in range(block.lo, block.hi)
-            if min(i - (block.lo - 1), block.hi - i) >= m and i % m == 0]
+    return [i for i in range(lo, hi)
+            if min(i - (lo - 1), hi - i) >= m and i % m == 0]
+
+
+def brute_pool(params, level, horizon):
+    """Site pool (sites of every admissible scale, selected or not) <= horizon."""
+    return [i for scale in range(params.min_scale(level), horizon.bit_length())
+            for i in brute_sites(params, level, scale) if i <= horizon]
 
 
 class TestAlignmentExponent:
@@ -59,9 +68,8 @@ class TestStrips:
         (1, 1, 2, 3),
     ])
     def test_bounds(self, level, scale, lo, hi):
-        block = strip(level, scale)
-        assert (block.lo, block.hi) == (lo, hi)
-        assert block.width == 2 ** (scale - level)
+        assert strip(level, scale) == (lo, hi)
+        assert hi - lo == 2 ** (scale - level)
 
     def test_rejects_scale_below_level(self):
         with pytest.raises(ValueError):
@@ -71,17 +79,17 @@ class TestStrips:
         seen = {}
         for level in range(1, 6):
             for scale in range(level, 13):
-                block = strip(level, scale)
-                for n in range(block.lo, block.hi):
+                lo, hi = strip(level, scale)
+                for n in range(lo, hi):
                     assert n not in seen, (seen[n], (level, scale))
                     seen[n] = (level, scale)
 
     def test_closed_form_equals_telescoping_sum(self):
         for level in range(1, 7):
             for scale in range(level, 16):
-                block = strip(level, scale)
-                assert block.lo == sum(2 ** t for t in range(scale - level + 1, scale + 1))
-                assert block.hi == sum(2 ** t for t in range(scale - level, scale + 1))
+                lo, hi = strip(level, scale)
+                assert lo == sum(2 ** t for t in range(scale - level + 1, scale + 1))
+                assert hi == sum(2 ** t for t in range(scale - level, scale + 1))
 
 
 class TestStripSites:
@@ -114,7 +122,6 @@ class TestMembership:
     def test_examples(self, params):
         assert in_site_set(params, 1, 40)
         assert not in_site_set(params, 1, 72)  # scale 6 is not selected
-        assert in_site_pool(params, 1, 72)
         assert not in_site_set(params, 1, 41)  # misaligned
 
     def test_agreement_with_enumeration(self, params):
@@ -125,16 +132,32 @@ class TestMembership:
                        if in_site_set(params, level, n)]
             assert scanned == sorted(members)
 
+    def test_membership_needs_no_site_lists(self, params, monkeypatch):
+        # in_site_set is the modular route; it must not lean on the site lists
+        horizon = 2 ** 14
+        expected = {level: site_members(params, level, horizon) for level in range(1, 6)}
+
+        def forbidden(*args):
+            raise AssertionError("in_site_set reached the site-list route")
+
+        monkeypatch.setattr(dyadic, "strip_sites", forbidden)
+        monkeypatch.setattr(dyadic, "site_members", forbidden)
+        for level, members in expected.items():
+            assert [n for n in range(1, horizon + 1)
+                    if in_site_set(params, level, n)] == members
+
     def test_pool_contains_site_set(self, params):
         for level in (1, 2, 3):
-            for n in site_members(params, level, 2 ** 12):
-                assert in_site_pool(params, level, n)
+            pool = set(brute_pool(params, level, 2 ** 12))
+            assert pool.issuperset(site_members(params, level, 2 ** 12))
 
     def test_pool_members_sorted_and_spaced(self, params):
         for level in (1, 2):
-            pool = site_pool_members(params, level, 2 ** 12)
+            pool = brute_pool(params, level, 2 ** 12)
             modulus = params.modulus(level)
             assert all(b - a >= modulus for a, b in zip(pool, pool[1:]))
+            # the pool minimum verify_separation reads without enumerating
+            assert pool[0] == strip_sites(params, level, params.min_scale(level))[0]
 
     def test_count_matches_enumeration(self, params):
         for level in range(1, 5):
@@ -246,21 +269,6 @@ class TestCheckpoints:
         assert not is_checkpoint_horizon(params, 63)
 
 
-class TestScaleIndex:
-    @pytest.mark.parametrize("n,expected", [(2, 1), (63, 5), (64, 6)])
-    def test_examples(self, n, expected):
-        assert scale_index(n) == expected
-
-    @given(st.integers(2, 10 ** 12))
-    def test_bracketing(self, n):
-        j = scale_index(n)
-        assert 2 ** j <= n < 2 ** (j + 1)
-
-    def test_rejects_small(self):
-        with pytest.raises(ValueError):
-            scale_index(1)
-
-
 class TestVerifySeparation:
     def test_passes_at_scale(self, params):
         report = verify_separation(params, 4, 2 ** 16)
@@ -284,7 +292,7 @@ class TestVerifySeparation:
 
     def test_json_schema(self, params):
         payload = verify_separation(params, 2, 1024).to_json_dict()
-        assert set(payload) == {"check", "params", "range", "pass", "first_violation"}
+        assert set(payload) == REPORT_KEYS
         assert payload["pass"] is True
 
 
@@ -311,6 +319,32 @@ class TestCheckpointGap:
             for horizon in schedule.horizons:
                 assert nearest_site_distance(params, level, horizon) >= \
                     2 ** level + params.d
+
+
+class TestSuiteChecks:
+    """The per-strip and per-checkpoint checks behind verify_report.json."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 14])
+    def test_pass_at_min_p(self, d):
+        params = SeparationParams.with_min_p(d)
+        reports = [verify_counting_bounds(params, 5, 26),
+                   verify_mass_bound(params, 3, 9),
+                   verify_class_limits(params, 3)]
+        assert [r.check for r in reports] == ["counting_bounds", "mass_bound",
+                                              "class_limits"]
+        for report in reports:
+            payload = report.to_json_dict()
+            assert set(payload) == REPORT_KEYS
+            assert payload["pass"] is True and payload["first_violation"] is None
+            assert payload["params"] == {"d": d, "p": params.p}
+
+    def test_ranges(self, params):
+        assert verify_counting_bounds(params, 5, 26).range_ == \
+            {"max_level": 5, "max_scale": 26}
+        assert verify_mass_bound(params, 3, 9).range_ == \
+            {"max_level": 3, "checkpoints": 9}
+        assert verify_class_limits(params, 3).range_ == \
+            {"max_level": 3, "q_range": [20, 32]}
 
 
 class TestSeparationParams:

@@ -113,15 +113,6 @@ class TestFunctional:
             value = functional_eval(chain_vector(op, -step))
             assert bool(value) == (step == 0)
 
-    def test_dump_csv(self, op, tmp_path):
-        from orbitdensity.shift import dump_vector_csv
-
-        path = tmp_path / "vec.csv"
-        dump_vector_csv(chain_vector(op, 2), range(4), path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "index,re_num,re_den,im_num,im_den"
-        assert lines[3] == "2,1,4,0,1"
-
 
 class TestTailConstant:
     def test_level_one_l2(self, op):

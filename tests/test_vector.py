@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ from orbitdensity import (
     density_experiment,
     expansion_coefficient,
     one_block_family,
-    orbit_functional,
     predicted_density_limits,
     return_set,
     sign_cross_check,
@@ -28,10 +26,12 @@ from orbitdensity import (
     tail_constant,
     vector_norm,
     verify_orbit_approach,
+    verify_separation,
     zero_block,
 )
+from orbitdensity import vector as vector_module
 from orbitdensity.scalars import IMAG_UNIT, ONE, ZERO
-from orbitdensity.shift import LazyVector
+from orbitdensity.shift import LazyVector, apply_power, functional_eval
 
 
 def gr(re, im=0):
@@ -65,7 +65,6 @@ class TestBudgets:
 
     def test_budget_values(self, budgets):
         assert [budgets.budget(s) for s in (1, 2, 5)] == [1, 2, 5]
-        assert budgets.growth_unbounded
 
     def test_stabilization_guard(self, op):
         with pytest.raises(ValueError):
@@ -151,23 +150,42 @@ class TestExpansionCoefficient:
             expected = ONE if n in members else ZERO
             assert expansion_coefficient(one_block_av, n) == expected
 
-    def test_orbit_functional_is_expansion(self, one_block_av):
-        assert orbit_functional(one_block_av, 40) == \
-            expansion_coefficient(one_block_av, 40)
-        with pytest.raises(ValueError):
-            orbit_functional(one_block_av, 0)
+    def test_orbit_functional_is_expansion(self, mixed_av, op):
+        # coordinate 0 of T^n x equals b(n) for x = sum_i b(i) w^(-i) e_i
+        horizon = 64
+        x = LazyVector(
+            coeff_fn=lambda m: expansion_coefficient(mixed_av, m) * (op.weight ** -m),
+            spans=((0, horizon + 1),))
+        for n in range(1, horizon + 1):
+            assert functional_eval(apply_power(op, x, n)) == \
+                expansion_coefficient(mixed_av, n)
 
 
 class TestSeriesOracle:
     def test_agrees_with_exact_route(self, enumerated_av):
         oracle = SeriesOracle(enumerated_av, 2 ** 11)
         for n in range(1, 2 ** 11 + 1):
-            exact = complex(orbit_functional(enumerated_av, n))
+            exact = complex(expansion_coefficient(enumerated_av, n))
             assert oracle.value(n) == exact
 
     def test_no_sign_disagreements(self, enumerated_av):
         oracle = SeriesOracle(enumerated_av, 2 ** 11)
         assert sign_cross_check(enumerated_av, oracle, 2 ** 11) == []
+
+    @pytest.mark.parametrize("family", ["one_block_av", "enumerated_av"])
+    def test_independent_of_membership_route(self, family, request, monkeypatch):
+        # the oracle must reach its values without the route it checks
+        av = request.getfixturevalue(family)
+        horizon = 2 ** 12
+        expected = [complex(expansion_coefficient(av, n)) for n in range(1, horizon + 1)]
+
+        def forbidden(*args):
+            raise AssertionError("SeriesOracle reached the membership route")
+
+        monkeypatch.setattr(vector_module, "in_site_set", forbidden)
+        monkeypatch.setattr(vector_module, "expansion_coefficient", forbidden)
+        oracle = SeriesOracle(av, horizon)
+        assert [oracle.value(n) for n in range(1, horizon + 1)] == expected
 
     def test_horizon_guard(self, one_block_av):
         oracle = SeriesOracle(one_block_av, 100)
@@ -238,12 +256,6 @@ class TestReturnSet:
     def test_checkpoint_count_rejects_plain_horizon(self, one_block_av):
         with pytest.raises(ValueError):
             checkpoint_count(one_block_av, 1000)
-
-    def test_view_predicate(self, one_block_av):
-        rs = return_set(one_block_av, 64)
-        assert rs.view.contains(40)
-        assert not rs.view.contains(41)
-        assert rs.count_up_to(64) == 1
 
 
 class TestPredictedLimits:
@@ -360,12 +372,9 @@ class TestDensityExperiment:
             "l,q,horizon,class,count,ratio_num,ratio_den,ratio_float,predicted_float"
         assert lines[1].startswith("1,5,64,CLASS1,1,1,64,0.015625,")
 
-    def test_json_schema(self, tmp_path, one_block_av):
+    def test_json_schema(self, one_block_av):
         schedule = checkpoint_schedule(one_block_av.params, 3)
-        experiment = density_experiment(one_block_av, schedule)
-        path = tmp_path / "exp.json"
-        experiment.write_json(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = density_experiment(one_block_av, schedule).to_json_dict()
         assert set(payload) == {"tail_window", "r_values", "predicted_lower",
                                 "predicted_upper", "separation_flag", "checkpoints"}
         assert payload["r_values"]["1"] == 1
@@ -385,10 +394,10 @@ class TestAssembly:
         with pytest.raises(ValueError):
             AssembledVector(params, op, budgets, blocks)
 
-    def test_exhaustive_horizon_check(self, params, op, budgets):
-        av = AssembledVector(params, op, budgets, one_block_family(budgets),
-                             check_horizon=2 ** 12)
-        assert av.active_levels == [1]
+    def test_exhaustive_horizon_check(self, one_block_av):
+        # the closed-form spacing the constructor enforces holds member by member
+        report = verify_separation(one_block_av.params, one_block_av.max_level, 2 ** 12)
+        assert report.passed
 
     def test_sign_pattern_mass(self, enumerated_av, op):
         # truncated sign-flipped expansions stay within the budgeted series mass

@@ -58,7 +58,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Reject a bad value before any stage runs or writes an artifact."""
-        for name in ("smax", "horizon", "series_horizon"):
+        for name in ("smax", "series_horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.checkpoints < 2:
@@ -67,7 +67,9 @@ class RunConfig:
             raise ValueError("tail_tol must be finite and > 0")
         if self.family not in ("one-block", "enumerated"):
             raise ValueError(f"unknown family {self.family!r}")
-        self.params()
+        first = checkpoint_schedule(self.params(), 1).horizons[0]
+        if self.horizon < first:
+            raise ValueError(f"horizon must be >= {first}, the first checkpoint")
         self.operator()
 
     def params(self) -> SeparationParams:
@@ -159,6 +161,13 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -173,10 +182,7 @@ def cmd_fact0(config: RunConfig, a_lo: int, a_hi: int, b_max: int) -> int:
     """Tabulate the selected-scale mass against its residue-class limits."""
     rows = dyadic.mass_table_rows(a_lo, a_hi, b_max)
     out = _out_dir(config)
-    with open(out / "fact0.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(dyadic.MASS_TABLE_HEADER)
-        writer.writerows(rows)
+    _write_csv(out / "fact0.csv", dyadic.MASS_TABLE_HEADER, rows)
     failures = 0
     for a, b, _, s_num, s_den, limit_num, limit_den, _ in rows:
         s = Fraction(s_num, s_den)
@@ -192,12 +198,9 @@ def cmd_sets(config: RunConfig) -> int:
     params = config.params()
     schedule = checkpoint_schedule(params, config.checkpoints)
     horizons = [n for n in schedule.horizons if n <= config.horizon]
-    if not horizons:
-        print("sets: no checkpoint horizons within --horizon", file=sys.stderr)
-        return 2
     for level in range(1, config.smax + 1):
         report = density_ratios(lambda n: count_sites(params, level, n), horizons)
-        report.write_csv(out / f"sets_level{level}.csv")
+        _write_csv(out / f"sets_level{level}.csv", report.CSV_HEADER, report.rows())
         print(f"sets: level {level} tail ratio in "
               f"[{float(report.running_min):.6g}, {float(report.running_max):.6g}]")
     return 0
@@ -254,10 +257,8 @@ def cmd_vector(config: RunConfig) -> int:
         "omega": str(av.op.weight),
         "space_exponent": ("sup" if av.op.is_sup_space else av.op.space_exponent),
         "r_values": {str(level): count for level, count in hit_counts.items()},
-        "predicted_lower": {"num": lower.numerator, "den": lower.denominator,
-                            "float": float(lower)},
-        "predicted_upper": {"num": upper.numerator, "den": upper.denominator,
-                            "float": float(upper)},
+        "predicted_lower": vec.fraction_json(lower),
+        "predicted_upper": vec.fraction_json(upper),
         "tail_constants": {str(s): tail_constant(av.op, s)
                            for s in range(1, config.smax + 1)},
         "budget_partials": list(av.budgets.weighted_partials),
@@ -278,7 +279,7 @@ def cmd_orbit(config: RunConfig) -> int:
 
     experiment = density_experiment(av, schedule,
                                     tail_window=min(6, len(schedule)))
-    experiment.write_csv(out / "orbit_density.csv")
+    _write_csv(out / "orbit_density.csv", experiment.CSV_HEADER, experiment.csv_rows())
     _write_json(out / "orbit_summary.json",
                 {"family": config.family, **experiment.to_json_dict()})
 

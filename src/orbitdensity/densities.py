@@ -9,10 +9,8 @@ comparisons against rational limit values are decided without rounding.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Sequence
 
 
@@ -40,12 +38,6 @@ class DensityReport:
             (n, c, r.numerator, r.denominator, float(r))
             for n, c, r in zip(self.checkpoints, self.counts, self.ratios)
         ]
-
-    def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.CSV_HEADER)
-            writer.writerows(self.rows())
 
 
 def density_ratios(count: Callable[[int], int], checkpoints: Sequence[int],

@@ -28,8 +28,10 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterator, Optional
 
 SCALE_PERIOD = 5
@@ -150,24 +152,21 @@ def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
     return n - (lo - 1) >= m and hi - n >= m
 
 
-def _admissible_scales(params: SeparationParams, level: int, horizon: int) -> Iterator[int]:
-    """Selected scales from the level's minimum up to the horizon's scale."""
+def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator[range]:
+    """Each selected scale's ``strip_sites`` range, clipped to [1, horizon]."""
     scale = params.min_scale(level)
     while 2 ** scale <= horizon:
         if scale_selected(scale):
-            yield scale
+            sites = strip_sites(params, level, scale)
+            yield range(sites.start, min(sites.stop, horizon + 1), sites.step)
         scale += 1
 
 
 def site_members(params: SeparationParams, level: int, horizon: int) -> list[int]:
     """Site set members <= horizon, sorted."""
     out: list[int] = []
-    for scale in _admissible_scales(params, level, horizon):
-        sites = strip_sites(params, level, scale)
-        if sites and sites[-1] <= horizon:
-            out.extend(sites)
-        else:
-            out.extend(s for s in sites if s <= horizon)
+    for sites in _site_ranges(params, level, horizon):
+        out.extend(sites)
     return out
 
 
@@ -175,50 +174,22 @@ def count_sites(params: SeparationParams, level: int, horizon: int) -> int:
     """#(site set of ``level`` in [1, horizon]) by per-scale range arithmetic."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    m = params.modulus(level)
-    total = 0
-    for scale in _admissible_scales(params, level, horizon):
-        sites = strip_sites(params, level, scale)
-        top = min(sites[-1], horizon)
-        if top >= sites[0]:
-            total += (top - sites[0]) // m + 1
-    return total
-
-
-def _largest_site_at_most(params: SeparationParams, level: int, n: int) -> Optional[int]:
-    if n < 2:
-        return None
-    m = params.modulus(level)
-    for scale in range(n.bit_length() - 1, params.min_scale(level) - 1, -1):
-        if not scale_selected(scale):
-            continue
-        sites = strip_sites(params, level, scale)
-        candidate = min(sites[-1], (n // m) * m)
-        if candidate >= sites[0]:
-            return candidate
-    return None
-
-
-def _smallest_site_at_least(params: SeparationParams, level: int, n: int) -> int:
-    m = params.modulus(level)
-    scale = max(params.min_scale(level), n.bit_length() - 1 if n >= 2 else 0)
-    while True:
-        if scale_selected(scale):
-            sites = strip_sites(params, level, scale)
-            candidate = max(sites[0], ((n + m - 1) // m) * m)
-            if candidate <= sites[-1]:
-                return candidate
-        scale += 1
+    return sum(len(sites) for sites in _site_ranges(params, level, horizon))
 
 
 def nearest_site_distance(params: SeparationParams, level: int, n: int) -> int:
-    """Exact distance from n to the level's site set (never empty upward)."""
-    below = _largest_site_at_most(params, level, n)
-    above = _smallest_site_at_least(params, level, n)
-    dist = above - n
-    if below is not None:
-        dist = min(dist, n - below)
-    return dist
+    """Exact distance from n to the level's site set (never empty upward).
+
+    Selected scales are at most 3 apart and each one hosts a site, so the
+    least site above n lies below 2^(max(min_scale, bit_length(n)) + 4).
+    """
+    window = 2 ** (max(params.min_scale(level), n.bit_length()) + 4)
+    best = window
+    for sites in _site_ranges(params, level, window):
+        i = bisect_left(sites, n)
+        for site in sites[max(i - 1, 0):i + 1]:
+            best = min(best, abs(n - site))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +243,14 @@ class Checkpoints:
     """
 
     exponents: tuple[int, ...]
-    horizons: tuple[int, ...]
-    classes: tuple[str, ...]
+
+    @property
+    def horizons(self) -> tuple[int, ...]:
+        return tuple(2 ** (q + 1) for q in self.exponents)
+
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return tuple(_class_label(q) for q in self.exponents)
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -297,11 +274,7 @@ def checkpoint_schedule(params: SeparationParams, count: int) -> Checkpoints:
         if scale_selected(q):
             exponents.append(q)
         q += 1
-    return Checkpoints(
-        exponents=tuple(exponents),
-        horizons=tuple(2 ** (q + 1) for q in exponents),
-        classes=tuple(_class_label(q) for q in exponents),
-    )
+    return Checkpoints(tuple(exponents))
 
 
 def checkpoints_between(params: SeparationParams, q_lo: int, q_hi: int) -> Checkpoints:
@@ -310,11 +283,7 @@ def checkpoints_between(params: SeparationParams, q_lo: int, q_hi: int) -> Check
                       if scale_selected(q))
     if not exponents:
         raise ValueError("no checkpoint exponents in range")
-    return Checkpoints(
-        exponents=exponents,
-        horizons=tuple(2 ** (q + 1) for q in exponents),
-        classes=tuple(_class_label(q) for q in exponents),
-    )
+    return Checkpoints(exponents)
 
 
 def is_checkpoint_horizon(params: SeparationParams, horizon: int) -> bool:
@@ -358,16 +327,22 @@ def verify_separation(params: SeparationParams, max_level: int,
                       horizon: int) -> CheckReport:
     """Exhaustive floor/spacing checks on all site-set members <= horizon.
 
-    Checks, in order: every level's minimum clears 2^(level+1) (site pools
-    clear the stronger floor 2^(2*level+p+2)); members of one level are at
-    least 2^(level+1)+2d+1 apart; members of distinct levels are at least
-    2^(max(level,level')+1)+2d+1 apart.  Stops at the first violation.
+    Checks, in order: every level's minimum clears 2^(level+1); members of
+    one level are at least 2^(level+1)+2d+1 apart; members of distinct levels
+    are at least 2^(max(level,level')+1)+2d+1 apart.  Stops at the first
+    violation.
+
+    Once same-level gaps hold, the cross-level condition needs only the
+    neighbours in the merged order of all levels: for members x < z of levels
+    l, l', x's successor lies at least 2^(l+1)+2d+1 above x and z's
+    predecessor at least 2^(l'+1)+2d+1 below z.
     """
     if max_level < 1 or horizon < 1:
         raise ValueError("max_level and horizon must be >= 1")
     range_ = {"max_level": max_level, "horizon": horizon}
     members = {level: site_members(params, level, horizon)
                for level in range(1, max_level + 1)}
+    need = {level: 2 ** (level + 1) + 2 * params.d + 1 for level in members}
 
     for level, mem in members.items():
         floor = 2 ** (level + 1)
@@ -375,35 +350,20 @@ def verify_separation(params: SeparationParams, max_level: int,
             return _report("separation", params, range_, {
                 "condition": "min_floor", "level": level,
                 "member": mem[0], "required": floor})
-        # Strips grow with the scale, so the pool's least member is the first
-        # site of the level's lowest admissible strip.
-        first = strip_sites(params, level, params.min_scale(level))
-        pool_floor = 2 ** (2 * level + params.p + 2)
-        if first and first[0] <= horizon and first[0] < pool_floor:
-            return _report("separation", params, range_, {
-                "condition": "pool_min_floor", "level": level,
-                "member": first[0], "required": pool_floor})
 
     for level, mem in members.items():
-        need = 2 ** (level + 1) + 2 * params.d + 1
-        for a, b in zip(mem, mem[1:]):
-            if b - a < need:
+        for a, b in pairwise(mem):
+            if b - a < need[level]:
                 return _report("separation", params, range_, {
                     "condition": "same_level_gap", "level": level,
-                    "i": a, "i_prime": b, "gap": b - a, "required": need})
+                    "i": a, "i_prime": b, "gap": b - a, "required": need[level]})
 
-    for level in range(1, max_level + 1):
-        for other in range(level + 1, max_level + 1):
-            need = 2 ** (other + 1) + 2 * params.d + 1
-            merged = sorted(
-                [(n, level) for n in members[level]] +
-                [(n, other) for n in members[other]]
-            )
-            for (n1, l1), (n2, l2) in zip(merged, merged[1:]):
-                if l1 != l2 and n2 - n1 < need:
-                    return _report("separation", params, range_, {
-                        "condition": "cross_level_gap", "levels": [l1, l2],
-                        "i": n1, "i_prime": n2, "gap": n2 - n1, "required": need})
+    merged = sorted((n, level) for level, mem in members.items() for n in mem)
+    for (n1, l1), (n2, l2) in pairwise(merged):
+        if l1 != l2 and n2 - n1 < need[max(l1, l2)]:
+            return _report("separation", params, range_, {
+                "condition": "cross_level_gap", "levels": [l1, l2], "i": n1,
+                "i_prime": n2, "gap": n2 - n1, "required": need[max(l1, l2)]})
     return _report("separation", params, range_)
 
 

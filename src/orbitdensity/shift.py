@@ -37,8 +37,8 @@ class ShiftOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.weight <= 1:
-            raise ValueError("weight must exceed 1")
+        if self.weight_float <= 1:  # the tail constants divide by 1 - w^(-p)
+            raise ValueError("weight must exceed 1, also after rounding to a float")
         if not (self.space_exponent >= 1):
             raise ValueError("space exponent must be >= 1 (math.inf for sup norm)")
 

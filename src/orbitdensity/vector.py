@@ -17,13 +17,11 @@ measured by ``density_experiment``.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, Mapping
 
 from .dyadic import (
@@ -37,6 +35,7 @@ from .dyadic import (
     scale_mass_limit,
     site_members,
 )
+from .densities import density_ratios
 from .scalars import GaussianRational, ZERO, ONE
 from .shift import (
     LazyVector,
@@ -47,23 +46,19 @@ from .shift import (
     vector_norm,
 )
 
-_BUDGET_STABILIZATION_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class LevelBudgets:
-    """Per-level coefficient budgets c(s) = s with their convergence certificates.
+    """Per-level coefficient budgets c(s) = s with their weighted partial sums.
 
     The budgets must grow without bound, must shrink against the tail
     constants in the sense that eps(s) * sum_{s'<s} c(s') -> 0, and the
     weighted series sum c(s) * eps(s) must converge.  With the shift's
-    doubly exponential eps decay all three hold; ``build_level_budgets``
-    evaluates the finite-horizon certificates and refuses budgets whose
-    weighted partial sums have not stabilized by ``max_level``.
+    doubly exponential eps decay all three hold for every weight w > 1 and
+    every ``max_level``; ``approach_bound`` bounds the series' infinite tail
+    in closed form.
     """
 
     max_level: int
-    shrink_values: tuple[float, ...]      # eps(s) * sum_{s' < s} c(s'), s = 1..max_level
     weighted_partials: tuple[float, ...]  # partial sums of c(s) * eps(s)
 
     def budget(self, level: int) -> Fraction:
@@ -73,26 +68,19 @@ class LevelBudgets:
 
 
 def build_level_budgets(op: ShiftOperator, max_level: int) -> LevelBudgets:
-    """Budgets c(s) = s with certificates evaluated against the operator."""
+    """Budgets c(s) = s with their weighted partial sums against the operator."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     eps = [tail_constant(op, s) for s in range(1, max_level + 2)]
     for s in range(len(eps) - 1):
         if eps[s + 1] > 2.0 * eps[s] ** 2:
             raise ValueError("tail constants do not decay doubly exponentially")
-    shrink = tuple(eps[s - 1] * (s - 1) * s / 2.0 for s in range(1, max_level + 1))
     partials = []
     total = 0.0
     for s in range(1, max_level + 1):
         total += s * eps[s - 1]
         partials.append(total)
-    last_term = max_level * eps[max_level - 1]
-    if last_term > _BUDGET_STABILIZATION_TOL * max(1.0, total):
-        raise ValueError(
-            f"weighted budget series not stabilized by level {max_level}"
-        )
-    return LevelBudgets(max_level=max_level, shrink_values=shrink,
-                        weighted_partials=tuple(partials))
+    return LevelBudgets(max_level=max_level, weighted_partials=tuple(partials))
 
 
 @dataclass(frozen=True)
@@ -485,8 +473,11 @@ def approach_bound(av: AssembledVector, level: int) -> float:
 
         (sum_{s < level} c(s)) * eps(level) + sum_{s >= level} c(s) * eps(s).
 
-    The infinite tail is summed until its terms underflow; the doubly
-    exponential decay makes the truncation exact in floating point.
+    The tail terms t(s) = c(s) * eps(s) = s * eps(s) obey
+    t(s+1) <= r(s) * t(s) with r(s) = 2 * w^(-2^s), which falls with s, so
+    once r(S) < 1 everything from S on is at most t(S) / (1 - r(S)).  The
+    terms are summed up to the first such S whose remainder bound is
+    negligible in floating point, and that bound is added.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -497,11 +488,13 @@ def approach_bound(av: AssembledVector, level: int) -> float:
     s = level
     while True:
         term = float(av.budgets.budget(s)) * tail_constant(op, s)
+        ratio = 2.0 * op.weight_float ** -(2 ** s)
+        if ratio < 1.0:
+            remainder = term / (1.0 - ratio)
+            if tail + remainder == tail:
+                return head + tail + remainder
         tail += term
         s += 1
-        if term == 0.0 or s > level + 64:
-            break
-    return head + tail
 
 
 def verify_orbit_approach(av: AssembledVector, level: int, n: int,
@@ -561,43 +554,25 @@ class DensityExperiment:
     CSV_HEADER = ("l", "q", "horizon", "class", "count",
                   "ratio_num", "ratio_den", "ratio_float", "predicted_float")
 
-    def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.CSV_HEADER)
-            for row in self.rows:
-                writer.writerow((row.position, row.exponent, row.horizon,
-                                 row.label, row.count,
-                                 row.ratio.numerator, row.ratio.denominator,
-                                 float(row.ratio), float(row.predicted)))
+    def csv_rows(self) -> list[tuple]:
+        return [(row.position, row.exponent, row.horizon, row.label, row.count,
+                 row.ratio.numerator, row.ratio.denominator,
+                 float(row.ratio), float(row.predicted)) for row in self.rows]
 
     def to_json_dict(self) -> dict:
         return {
             "tail_window": self.tail_window,
             "r_values": {str(level): count for level, count in sorted(self.hit_counts.items())},
-            "predicted_lower": {
-                "num": self.predicted_lower.numerator,
-                "den": self.predicted_lower.denominator,
-                "float": float(self.predicted_lower),
-            },
-            "predicted_upper": {
-                "num": self.predicted_upper.numerator,
-                "den": self.predicted_upper.denominator,
-                "float": float(self.predicted_upper),
-            },
+            "predicted_lower": fraction_json(self.predicted_lower),
+            "predicted_upper": fraction_json(self.predicted_upper),
             "separation_flag": self.separation_flag,
-            "checkpoints": [
-                {
-                    "l": row.position, "q": row.exponent, "horizon": row.horizon,
-                    "class": row.label, "count": row.count,
-                    "ratio_num": row.ratio.numerator,
-                    "ratio_den": row.ratio.denominator,
-                    "ratio_float": float(row.ratio),
-                    "predicted_float": float(row.predicted),
-                }
-                for row in self.rows
-            ],
+            "checkpoints": [dict(zip(self.CSV_HEADER, row)) for row in self.csv_rows()],
         }
+
+
+def fraction_json(value: Fraction) -> dict:
+    """A rational as ``{"num", "den", "float"}`` for the JSON reports."""
+    return {"num": value.numerator, "den": value.denominator, "float": float(value)}
 
 
 def density_experiment(av: AssembledVector, schedule: Checkpoints,
@@ -609,22 +584,22 @@ def density_experiment(av: AssembledVector, schedule: Checkpoints,
     the whole schedule, so pass the tested tail explicitly or set a window).
     """
     lower, upper = predicted_density_limits(av)
-    rows = []
-    for position, exponent, horizon, label in schedule.rows():
-        count = checkpoint_count(av, horizon)
-        ratio = Fraction(count, horizon)
-        predicted = lower if label == CLASS1 else upper
-        rows.append(CheckpointRow(position=position, exponent=exponent,
-                                  horizon=horizon, label=label, count=count,
-                                  ratio=ratio, predicted=predicted))
-    window = len(rows) if tail_window is None else max(1, min(tail_window, len(rows)))
-    tail = rows[-window:]
+    report = density_ratios(lambda n: checkpoint_count(av, n), schedule.horizons,
+                            tail_window)
+    rows = tuple(
+        CheckpointRow(position=position, exponent=exponent, horizon=horizon,
+                      label=label, count=count, ratio=ratio,
+                      predicted=lower if label == CLASS1 else upper)
+        for (position, exponent, horizon, label), count, ratio
+        in zip(schedule.rows(), report.counts, report.ratios))
+    tail = rows[-report.tail_window:]
     class1 = [row.ratio for row in tail if row.label == CLASS1]
     class2 = [row.ratio for row in tail if row.label == CLASS2]
     separation = bool(class1 and class2 and max(class1) < min(class2))
-    return DensityExperiment(rows=tuple(rows), hit_counts=av.hit_counts(),
+    return DensityExperiment(rows=rows, hit_counts=av.hit_counts(),
                              predicted_lower=lower, predicted_upper=upper,
-                             separation_flag=separation, tail_window=window)
+                             separation_flag=separation,
+                             tail_window=report.tail_window)
 
 
 def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,

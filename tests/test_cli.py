@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from orbitdensity.cli import load_config_file, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -147,8 +151,11 @@ class TestInvalidConfig:
         ["--checkpoints", "1"],
         ["--omega", "1/0"],
         ["--d", "0"],
+        ["--omega", "1.0000000000000000001"],
+        ["--horizon", "32"],
     ], ids=["tail-tol-nan", "tail-tol-negative", "tail-tol-inf", "horizon-negative",
-            "one-checkpoint", "omega-zero-denominator", "d-zero"])
+            "one-checkpoint", "omega-zero-denominator", "d-zero",
+            "omega-float-is-one", "horizon-below-first-checkpoint"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2
@@ -162,3 +169,21 @@ class TestInvalidConfig:
         out = tmp_path / "out"
         assert run(["all", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestAllCommand:
+    @pytest.mark.parametrize("family", ["one-block", "enumerated"])
+    def test_reference_artifacts(self, tmp_path, family):
+        # the run.cfg artifacts are pinned by hash in the benchmark's known answers
+        expected = json.loads((ROOT / "bench" / "reference.json").read_text())
+        out = tmp_path / family
+        assert run(["all", "--config", str(ROOT / "run.cfg"), "--family", family,
+                    "--out", str(out)]) == 0
+        found = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in out.iterdir()}
+        assert found == expected["headline"][family]
+
+    def test_small_smax(self, tmp_path):
+        # any smax >= 1 gets a budget certificate
+        assert run(["all", "--smax", "3", "--series-horizon", "1024",
+                    "--out", str(tmp_path / "out")]) == 0

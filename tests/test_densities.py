@@ -123,11 +123,8 @@ def test_ratios_within_unit_interval(members):
     assert all(0 <= r <= 1 for r in report.ratios)
 
 
-def test_csv_schema(tmp_path, params):
+def test_csv_schema(params):
     report = density_ratios(level1_sites(params), [64, 256])
-    path = tmp_path / "report.csv"
-    report.write_csv(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "checkpoint,count,ratio_num,ratio_den,ratio_float"
-    assert lines[1] == "64,1,1,64,0.015625"
-    assert lines[2] == "256,8,1,32,0.03125"
+    assert report.CSV_HEADER == ("checkpoint", "count", "ratio_num", "ratio_den",
+                                 "ratio_float")
+    assert report.rows() == [(64, 1, 1, 64, 0.015625), (256, 8, 1, 32, 0.03125)]

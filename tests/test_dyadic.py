@@ -156,7 +156,7 @@ class TestMembership:
             pool = brute_pool(params, level, 2 ** 12)
             modulus = params.modulus(level)
             assert all(b - a >= modulus for a, b in zip(pool, pool[1:]))
-            # the pool minimum verify_separation reads without enumerating
+            # the pool starts at the first site of the lowest admissible strip
             assert pool[0] == strip_sites(params, level, params.min_scale(level))[0]
 
     def test_count_matches_enumeration(self, params):
@@ -290,6 +290,27 @@ class TestVerifySeparation:
         gap = report.first_violation["gap"]
         assert gap < report.first_violation["required"]
 
+    @pytest.mark.parametrize("planted,violation", [
+        # a level-3 member between two level-1 members, too close to the upper one
+        ({1: [100, 200], 2: [400], 3: [190]}, ([3, 1], 190, 200, 19)),
+        # ... and too close to the lower one
+        ({1: [100, 300], 2: [], 3: [110]}, ([1, 3], 100, 110, 19)),
+        ({1: [100, 200], 2: [205], 3: []}, ([1, 2], 200, 205, 11)),
+        ({1: [100, 300], 2: [], 3: [200]}, None),
+    ], ids=["above", "below", "levels-1-2", "clear"])
+    def test_cross_level_gap(self, params, monkeypatch, planted, violation):
+        monkeypatch.setattr(dyadic, "site_members",
+                            lambda _params, level, _horizon: planted[level])
+        report = verify_separation(params, 3, 2 ** 10)
+        if violation is None:
+            assert report.passed
+            return
+        levels, i, i_prime, required = violation
+        assert not report.passed
+        assert report.first_violation == {
+            "condition": "cross_level_gap", "levels": levels, "i": i,
+            "i_prime": i_prime, "gap": i_prime - i, "required": required}
+
     def test_json_schema(self, params):
         payload = verify_separation(params, 2, 1024).to_json_dict()
         assert set(payload) == REPORT_KEYS
@@ -301,11 +322,17 @@ class TestCheckpointGap:
         assert nearest_site_distance(params, 1, 64) == 24
         assert nearest_site_distance(params, 2, 64) == 144
 
-    def test_matches_brute_force(self, params):
-        for level in (1, 2, 3):
-            members = site_members(params, level, 2 ** 14)
-            for n in (64, 100, 256, 2048, 8192):
-                if members and n <= members[-1]:
+    def test_matches_brute_force(self):
+        for p in (1, 3):
+            params = SeparationParams(d=1, p=p)
+            for level in range(1, 7):
+                # the next site above any n < 2^14 lies below 2^18
+                members = site_members(params, level, 2 ** 18)
+                probes = [1, 64, 100, 256, 2048, 8192, 2 ** 14 - 1]
+                early = site_members(params, level, 2 ** 14)
+                if early:  # n above the last member <= 2^14
+                    probes += [early[-1] + 1, early[-1] + 5]
+                for n in probes:
                     brute = min(abs(n - m) for m in members)
                     assert nearest_site_distance(params, level, n) == brute
 

@@ -9,6 +9,7 @@ from orbitdensity import (
     GaussianRational,
     SeparationParams,
     SeriesOracle,
+    ShiftOperator,
     approach_bound,
     build_level_budgets,
     checkpoint_count,
@@ -56,19 +57,16 @@ class TestBudgets:
         assert budgets.weighted_partials[-1] == pytest.approx(expected, rel=1e-12)
         assert 0.44 < budgets.weighted_partials[-1] < 0.45
 
-    def test_shrink_certificate(self, op, budgets):
-        # eps(4) * (1+2+3); small but slightly above 1e-4 for this operator
-        assert budgets.shrink_values[3] == pytest.approx(
-            tail_constant(op, 4) * 6, rel=1e-12)
-        assert budgets.shrink_values[3] < 1.1e-4
-        assert budgets.shrink_values[-1] < budgets.shrink_values[1]
-
     def test_budget_values(self, budgets):
         assert [budgets.budget(s) for s in (1, 2, 5)] == [1, 2, 5]
 
     def test_stabilization_guard(self, op):
+        # the series tail is bounded in closed form, so every level count builds
+        for max_level in range(1, 6):
+            budgets = build_level_budgets(op, max_level)
+            assert len(budgets.weighted_partials) == max_level
         with pytest.raises(ValueError):
-            build_level_budgets(op, 1)  # single level cannot stabilize
+            build_level_budgets(op, 0)
 
 
 class TestCoefficientBlock:
@@ -289,6 +287,14 @@ class TestApproachBound:
             sum(s * tail_constant(op, s) for s in range(2, 40))
         assert approach_bound(one_block_av, 2) == pytest.approx(expected, rel=1e-12)
 
+    def test_slow_weight_tail(self, params):
+        # at w = 1001/1000 the terms s * eps(s) grow up to s = 8 and r(s) >= 1 up to s = 9
+        op = ShiftOperator(weight=Fraction(1001, 1000))
+        budgets = build_level_budgets(op, 2)
+        av = AssembledVector(params, op, budgets, one_block_family(budgets))
+        expected = sum(s * tail_constant(op, s) for s in range(1, 200))
+        assert approach_bound(av, 1) == pytest.approx(expected, rel=1e-12)
+
     def test_vanishes_with_level(self, one_block_av):
         bounds = [approach_bound(one_block_av, r) for r in range(1, 7)]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
@@ -362,15 +368,13 @@ class TestDensityExperiment:
         experiment = density_experiment(one_block_av, schedule)
         assert [row.count for row in experiment.rows] == [1, 8, 71, 326, 2373]
 
-    def test_csv_golden(self, tmp_path, one_block_av):
+    def test_csv_golden(self, one_block_av):
         schedule = checkpoint_schedule(one_block_av.params, 2)
         experiment = density_experiment(one_block_av, schedule)
-        path = tmp_path / "exp.csv"
-        experiment.write_csv(path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == \
+        assert ",".join(experiment.CSV_HEADER) == \
             "l,q,horizon,class,count,ratio_num,ratio_den,ratio_float,predicted_float"
-        assert lines[1].startswith("1,5,64,CLASS1,1,1,64,0.015625,")
+        assert experiment.csv_rows()[0] == \
+            (1, 5, 64, "CLASS1", 1, 1, 64, 0.015625, 9 / 248)
 
     def test_json_schema(self, one_block_av):
         schedule = checkpoint_schedule(one_block_av.params, 3)
@@ -380,6 +384,10 @@ class TestDensityExperiment:
         assert payload["r_values"]["1"] == 1
         assert payload["predicted_lower"]["num"] == 9
         assert payload["predicted_lower"]["den"] == 248
+        assert payload["checkpoints"][0] == {
+            "l": 1, "q": 5, "horizon": 64, "class": "CLASS1", "count": 1,
+            "ratio_num": 1, "ratio_den": 64, "ratio_float": 0.015625,
+            "predicted_float": 9 / 248}
 
 
 class TestAssembly:

@@ -33,16 +33,12 @@ from .dyadic import (
 )
 from .scalars import GaussianRational
 from .shift import (
-    LazyVector,
     NormEstimate,
     ShiftOperator,
     apply_power,
-    chain_vector,
-    check_tail_bound,
     functional_eval,
     tail_constant,
     vector_norm,
-    verify_chain_spans,
 )
 from .vector import (
     AssembledVector,

@@ -16,6 +16,7 @@ import math
 import os
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -287,14 +288,11 @@ def cmd_orbit(config: RunConfig) -> int:
     disagreements = sign_cross_check(av, oracle, config.series_horizon,
                                      tail_tol=config.tail_tol)
 
-    identity_ok = True
-    scan_cap = min(config.horizon, 2 ** 18)
-    for horizon in schedule.horizons:
-        if horizon > scan_cap:
-            continue
-        direct = len(return_set(av, horizon, method="scan").members)
-        if direct != checkpoint_count(av, horizon):
-            identity_ok = False
+    # one scan to the largest checkpoint in range; smaller ones count by bisect
+    scanned = [h for h in schedule.horizons if h <= min(config.horizon, 2 ** 18)]
+    members = return_set(av, max(scanned), method="scan").members if scanned else ()
+    identity_ok = all(bisect_right(members, horizon) == checkpoint_count(av, horizon)
+                      for horizon in scanned)
 
     ok = (not disagreements) and identity_ok and experiment.separation_flag
     print(f"orbit: separation={experiment.separation_flag} "

@@ -325,12 +325,13 @@ def _report(check: str, params: SeparationParams, range_: dict,
 
 def verify_separation(params: SeparationParams, max_level: int,
                       horizon: int) -> CheckReport:
-    """Exhaustive floor/spacing checks on all site-set members <= horizon.
+    """Exhaustive spacing checks on all site-set members <= horizon.
 
-    Checks, in order: every level's minimum clears 2^(level+1); members of
-    one level are at least 2^(level+1)+2d+1 apart; members of distinct levels
-    are at least 2^(max(level,level')+1)+2d+1 apart.  Stops at the first
-    violation.
+    Checks, in order: members of one level are at least 2^(level+1)+2d+1
+    apart; members of distinct levels are at least
+    2^(max(level,level')+1)+2d+1 apart.  Stops at the first violation.  No
+    floor check is needed: every level-s site lies in a strip of scale
+    >= 2s+p+2, so it is >= 2^(2s+p+2) > 2^(s+1).
 
     Once same-level gaps hold, the cross-level condition needs only the
     neighbours in the merged order of all levels: for members x < z of levels
@@ -343,13 +344,6 @@ def verify_separation(params: SeparationParams, max_level: int,
     members = {level: site_members(params, level, horizon)
                for level in range(1, max_level + 1)}
     need = {level: 2 ** (level + 1) + 2 * params.d + 1 for level in members}
-
-    for level, mem in members.items():
-        floor = 2 ** (level + 1)
-        if mem and mem[0] < floor:
-            return _report("separation", params, range_, {
-                "condition": "min_floor", "level": level,
-                "member": mem[0], "required": floor})
 
     for level, mem in members.items():
         for a, b in pairwise(mem):

@@ -1,4 +1,4 @@
-"""Weighted backward shift, its inverse-orbit chain, and certified norms.
+"""Weighted backward shift: the operator facts the certificate reads.
 
 The operator maps (a0, a1, a2, ...) to w*(a1, a2, a3, ...) on a sequence
 space: either the p-summable space for a finite exponent, or the sup-normed
@@ -7,11 +7,18 @@ greater than 1, kept exact so that coefficient-level identities stay exact;
 only norms are floating point, and those come with explicit tail
 certificates.
 
+A vector is its coefficient function on the coordinates m >= 0.  The
+certificate needs three facts about the operator: coordinate 0 of T^n x
+(``functional_eval`` of ``apply_power``), the tail constants eps(s) behind
+the unconditional sums of the Frequent Hypercyclicity Criterion
+(``tail_constant``), and a certified norm (``vector_norm``).
+
 The coordinate-0 vector generates a two-sided chain whose span is dense:
 the inverse chain at step n is the basis vector at index n scaled by w^(-n)
-(and vanishes for negative steps, since the shift annihilates coordinate 0).  The coordinate-0 evaluation
-functional pairs to 1 with chain step 0 and to 0 with every other step, so
-its support offset set is {0} and the guard radius used downstream is 1.
+(and vanishes for negative steps, since the shift annihilates coordinate 0).
+The coordinate-0 evaluation functional pairs to 1 with chain step 0 and to 0
+with every other step, so its support offset set is {0} and the guard radius
+used downstream is 1.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational
 
 
 class NormCertificateError(RuntimeError):
@@ -37,7 +44,11 @@ class ShiftOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", Fraction(self.weight))
-        if self.weight_float <= 1:  # the tail constants divide by 1 - w^(-p)
+        try:
+            weight_float = self.weight_float
+        except OverflowError:  # float() of a huge Fraction raises, not inf
+            raise ValueError("weight must not overflow a float") from None
+        if weight_float <= 1:  # the tail constants divide by 1 - w^(-p)
             raise ValueError("weight must exceed 1, also after rounding to a float")
         if not (self.space_exponent >= 1):
             raise ValueError("space exponent must be >= 1 (math.inf for sup norm)")
@@ -51,90 +62,26 @@ class ShiftOperator:
         return math.isinf(self.space_exponent)
 
 
-Span = tuple[int, Optional[int]]  # half-open [start, stop); stop None = unbounded
+Coeffs = Callable[[int], GaussianRational]  # coordinate m >= 0 -> coefficient
 
 
-@dataclass(frozen=True)
-class LazyVector:
-    """Coordinate sequence given by a pure coefficient function.
-
-    ``spans`` describe where coefficients may be nonzero.  An unbounded span
-    needs ``decay`` = (cap, ratio): |coeff(m)| <= cap * ratio^m on it, which
-    is the certificate the norm routine turns into a tail bound.
-    """
-
-    coeff_fn: Callable[[int], GaussianRational]
-    spans: tuple[Span, ...] = ()
-    decay: Optional[tuple[float, float]] = None
-
-    def coeff(self, index: int) -> GaussianRational:
-        if index < 0:
-            return ZERO
-        return self.coeff_fn(index)
-
-    @classmethod
-    def zero(cls) -> "LazyVector":
-        return cls(coeff_fn=lambda m: ZERO, spans=())
-
-    @classmethod
-    def basis(cls, index: int, scale: GaussianRational) -> "LazyVector":
-        if index < 0:
-            raise ValueError("basis index must be >= 0")
-        return cls(
-            coeff_fn=lambda m, _i=index, _s=scale: _s if m == _i else ZERO,
-            spans=((index, index + 1),),
-        )
-
-    @classmethod
-    def from_coeffs(cls, coeffs: dict[int, GaussianRational]) -> "LazyVector":
-        table = {k: v for k, v in coeffs.items() if v}
-        if not table:
-            return cls.zero()
-        lo, hi = min(table), max(table)
-        return cls(
-            coeff_fn=lambda m, _t=dict(table): _t.get(m, ZERO),
-            spans=((lo, hi + 1),),
-        )
-
-
-def chain_vector(op: ShiftOperator, step: int) -> LazyVector:
-    """Inverse-orbit chain at ``step``: w^(-step) times the basis vector there.
-
-    Steps below 0 give the zero vector (the shift kills coordinate 0).
-    """
-    if step < 0:
-        return LazyVector.zero()
-    scale = GaussianRational(op.weight ** (-step))
-    return LazyVector.basis(step, scale)
-
-
-def functional_eval(vector: LazyVector) -> GaussianRational:
+def functional_eval(vector: Coeffs) -> GaussianRational:
     """Coordinate-0 evaluation functional."""
-    return vector.coeff(0)
+    return vector(0)
 
 
-def apply_power(op: ShiftOperator, vector: LazyVector, n: int) -> LazyVector:
-    """Lazy n-th power of the operator: coeff(m) -> w^n * coeff(m + n)."""
+def apply_power(op: ShiftOperator, vector: Coeffs, n: int) -> Coeffs:
+    """n-th power of the operator: coordinate m of T^n x is w^n * x(m + n).
+
+    The result is again an exact, lazily evaluated coefficient function.  It
+    carries no support or decay data: callers read only its coordinate 0.
+    """
     if n < 0:
         raise ValueError("power must be >= 0")
     if n == 0:
         return vector
     scale = GaussianRational(op.weight ** n)
-    spans = []
-    for start, stop in vector.spans:
-        new_stop = None if stop is None else stop - n
-        if new_stop is not None and new_stop <= 0:
-            continue
-        spans.append((max(start - n, 0), new_stop))
-    decay = vector.decay
-    if decay is not None:
-        cap, ratio = decay
-        decay = (cap * (op.weight_float * ratio) ** n, ratio)
-    return LazyVector(
-        coeff_fn=lambda m, _v=vector, _s=scale, _n=n: _s * _v.coeff(m + _n),
-        spans=tuple(spans),
-        decay=decay,
-    )
+    return lambda m: scale * vector(m + n)
 
 
 def tail_constant(op: ShiftOperator, level: int) -> float:
@@ -182,25 +129,38 @@ def _tail_cutoff(cap: float, ratio: float, factor: float, start: int,
     return m
 
 
-def vector_norm(op: ShiftOperator, vector: LazyVector,
+def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
+                stop: Optional[int] = None, *,
+                decay: Optional[tuple[float, float]] = None,
                 tail_tol: float = 1e-12) -> NormEstimate:
-    """Space norm with a certified truncation tail.
+    """Space norm of the coordinates from ``start`` on, with a certified tail.
 
-    Bounded spans are summed exactly (in floating point); an unbounded span
-    is scanned until its certified geometric remainder drops below
-    ``tail_tol``.  Raises NormCertificateError when an unbounded span has no
-    decay certificate.
+    The caller states where the vector may be nonzero.  A bounded range
+    [start, stop) is summed exactly (in floating point).  With ``stop=None``
+    the coordinates run on forever and ``decay`` = (cap, ratio) must certify
+    |vector(m)| <= cap * ratio^m for m >= start; the range is then scanned
+    until the certified geometric remainder drops below ``tail_tol``, and
+    that remainder is the estimate's tail bound.  Raises
+    NormCertificateError when an unbounded range has no usable certificate.
     """
     p = op.space_exponent
     sup = op.is_sup_space
-    acc = 0.0
     tail = 0.0
+    if stop is None:
+        if decay is None:
+            raise NormCertificateError("unbounded range without decay certificate")
+        cap, ratio = decay
+        if not 0.0 <= ratio < 1.0:
+            raise NormCertificateError("decay ratio must lie in [0, 1)")
+        factor = 1.0 if sup else (1.0 - ratio ** p) ** (-1.0 / p)
+        stop = _tail_cutoff(cap, ratio, factor, start, tail_tol) + 1
+        tail = cap * factor * ratio ** stop
 
-    def add(index: int) -> None:
-        nonlocal acc
-        sq = float(vector.coeff(index).abs_sq())
+    acc = 0.0
+    for m in range(start, stop):
+        sq = float(vector(m).abs_sq())
         if sq == 0.0:
-            return
+            continue
         if sup:
             acc = max(acc, math.sqrt(sq))
         elif p == 2.0:
@@ -208,67 +168,5 @@ def vector_norm(op: ShiftOperator, vector: LazyVector,
         else:
             acc += sq ** (p / 2.0)
 
-    for start, stop in vector.spans:
-        start = max(start, 0)
-        if stop is not None:
-            for m in range(start, stop):
-                add(m)
-            continue
-        if vector.decay is None:
-            raise NormCertificateError("unbounded span without decay certificate")
-        cap, ratio = vector.decay
-        if not 0.0 <= ratio < 1.0:
-            raise NormCertificateError("decay ratio must lie in [0, 1)")
-        factor = 1.0 if sup else (1.0 - ratio ** p) ** (-1.0 / p)
-        cutoff = _tail_cutoff(cap, ratio, factor, start, tail_tol)
-        for m in range(start, cutoff + 1):
-            add(m)
-        tail += cap * factor * ratio ** (cutoff + 1)
-
     value = acc if sup else acc ** (1.0 / p)
     return NormEstimate(value=value, tail_bound=tail)
-
-
-def check_tail_bound(op: ShiftOperator, level: int, indices: Sequence[int],
-                     weights: Sequence[complex], rel_slack: float = 1e-9) -> bool:
-    """Whether the weighted chain sum over ``indices`` obeys the tail constant.
-
-    Indices below 0 contribute nothing (their chain vectors vanish) and are
-    dropped; the remaining ones must be >= 2^level.  The weighted sum's norm
-    is compared against tail_constant * max|weight| with a small relative
-    slack for floating roundoff.
-    """
-    if len(indices) != len(weights):
-        raise ValueError("indices and weights must align")
-    floor = 2 ** level
-    kept = [(n, w) for n, w in zip(indices, weights) if n >= 0]
-    if any(abs(n) < floor for n in indices):
-        raise ValueError(f"all indices must satisfy |n| >= {floor}")
-    if not kept:
-        return True
-    w = op.weight_float
-    max_weight = max(abs(b) for _, b in kept)
-    if op.is_sup_space:
-        value = max(abs(b) * w ** (-n) for n, b in kept)
-    else:
-        p = op.space_exponent
-        value = sum(abs(b) ** p * w ** (-n * p) for n, b in kept) ** (1.0 / p)
-    bound = tail_constant(op, level) * max_weight
-    return value <= bound * (1.0 + rel_slack) + 1e-300
-
-
-def verify_chain_spans(op: ShiftOperator, max_step: int) -> bool:
-    """Triangularity of the chain: step n first hits coordinate n, nonzero there.
-
-    This shows the chain steps 0..max_step span the first max_step+1
-    coordinates.
-    """
-    if max_step < 0:
-        raise ValueError("max_step must be >= 0")
-    for n in range(max_step + 1):
-        vec = chain_vector(op, n)
-        if not vec.coeff(n):
-            return False
-        if any(vec.coeff(m) for m in range(n)):
-            return False
-    return True

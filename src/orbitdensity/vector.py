@@ -38,7 +38,7 @@ from .dyadic import (
 from .densities import density_ratios
 from .scalars import GaussianRational, ZERO, ONE
 from .shift import (
-    LazyVector,
+    Coeffs,
     ShiftOperator,
     apply_power,
     functional_eval,
@@ -124,17 +124,15 @@ class CoefficientBlock:
             return 0.0
         return max(math.sqrt(float(a.abs_sq())) for a in self.coeffs.values())
 
-    def vector(self, op: ShiftOperator) -> LazyVector:
+    def vector(self, op: ShiftOperator) -> Coeffs:
         """Block vector: coordinate m is a(-m) * w^(-m) for 0 <= m <= radius.
 
         Chain steps at positive offsets vanish for the shift, so only
         offsets j <= 0 show up in coordinates.
         """
-        if self.is_zero:
-            return LazyVector.zero()
         w = op.weight
         table = {-j: a * (w ** j) for j, a in self.coeffs.items() if j <= 0}
-        return LazyVector.from_coeffs(table)
+        return lambda m: table.get(m, ZERO)
 
 
 def zero_block(level: int, bound: Fraction) -> CoefficientBlock:
@@ -367,7 +365,7 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
 
 
 def _backward_orbit_vector(op: ShiftOperator, block: CoefficientBlock,
-                           step: int) -> LazyVector:
+                           step: int) -> Coeffs:
     """Coordinates of the step < 0 orbit of a block vector.
 
     Coordinate m collects the offset -m-step, scaled by w^(-m); no clipping
@@ -376,14 +374,12 @@ def _backward_orbit_vector(op: ShiftOperator, block: CoefficientBlock,
     if step > 0:
         raise ValueError("use apply_power for forward steps")
     w = op.weight
-    lo = max(0, -step - block.radius)
-    hi = -step + block.radius
 
-    def coeff(m: int, _b=block, _s=step, _w=w) -> GaussianRational:
-        a = _b.a(-m - _s)
-        return a * (_w ** -m) if a else ZERO
+    def coeff(m: int) -> GaussianRational:
+        a = block.a(-m - step)
+        return a * (w ** -m) if a else ZERO
 
-    return LazyVector(coeff_fn=coeff, spans=((lo, hi + 1),))
+    return coeff
 
 
 @dataclass(frozen=True)
@@ -516,12 +512,8 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
         delta = expansion_coefficient(av, n + m) - block.a(-m)
         return delta * (w ** -m) if delta else ZERO
 
-    diff = LazyVector(
-        coeff_fn=coeff,
-        spans=((0, None),),
-        decay=(cap, 1.0 / av.op.weight_float),
-    )
-    estimate = vector_norm(av.op, diff, tail_tol=min(tail_tol / 2, 1e-12))
+    estimate = vector_norm(av.op, coeff, 0, decay=(cap, 1.0 / av.op.weight_float),
+                           tail_tol=min(tail_tol / 2, 1e-12))
     return estimate.upper <= approach_bound(av, level) + tail_tol
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitdensity import cli
 from orbitdensity.cli import load_config_file, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,6 +106,15 @@ class TestOrbitCommand:
         assert (out1 / "orbit_summary.json").read_bytes() == \
             (out2 / "orbit_summary.json").read_bytes()
 
+    def test_identity_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        # a decomposition count off by one at a single scanned checkpoint
+        real = cli.checkpoint_count
+        monkeypatch.setattr(cli, "checkpoint_count",
+                            lambda av, horizon: real(av, horizon) + (horizon == 2 ** 11))
+        assert run(["orbit", "--series-horizon", "1024",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert "identity=FAIL" in capsys.readouterr().out
+
 
 class TestConfigMerging:
     def test_config_file(self, tmp_path):
@@ -153,9 +163,11 @@ class TestInvalidConfig:
         ["--d", "0"],
         ["--omega", "1.0000000000000000001"],
         ["--horizon", "32"],
+        ["--omega", "1e400"],
     ], ids=["tail-tol-nan", "tail-tol-negative", "tail-tol-inf", "horizon-negative",
             "one-checkpoint", "omega-zero-denominator", "d-zero",
-            "omega-float-is-one", "horizon-below-first-checkpoint"])
+            "omega-float-is-one", "horizon-below-first-checkpoint",
+            "omega-float-overflow"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2

@@ -281,6 +281,18 @@ class TestVerifySeparation:
         assert members[0] >= 2 ** (2 * 1 + params.p + 2)  # pool floor at level 1
         assert members[1] - members[0] == 96 >= 2 ** 2 + 3
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 14])
+    def test_members_clear_level_floor(self, d):
+        # why verify_separation needs no floor check: level-s sites start at
+        # 2^(2s+p+2), above the 2^(s+1) floor, for every p >= 0
+        min_p = min_alignment_exponent(d)
+        for p in (0, min_p, min_p + 2):
+            params = SeparationParams(d=d, p=p)
+            for level in range(1, 7):
+                floor = 2 ** params.min_scale(level)
+                members = site_members(params, level, 2 ** 4 * floor)
+                assert members and members[0] >= floor > 2 ** (level + 1)
+
     def test_inadmissible_p_detected(self):
         bad = SeparationParams(d=1, p=0)
         assert not bad.is_admissible()

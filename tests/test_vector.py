@@ -32,7 +32,7 @@ from orbitdensity import (
 )
 from orbitdensity import vector as vector_module
 from orbitdensity.scalars import IMAG_UNIT, ONE, ZERO
-from orbitdensity.shift import LazyVector, apply_power, functional_eval
+from orbitdensity.shift import apply_power, functional_eval
 
 
 def gr(re, im=0):
@@ -96,9 +96,9 @@ class TestCoefficientBlock:
             level=1, coeffs={-2: gr(Fraction(1, 4)), 0: ONE, 1: gr(3, 1)},
             bound=Fraction(4))
         vec = block.vector(op)
-        assert vec.coeff(0) == ONE                      # offset 0
-        assert vec.coeff(2) == gr(Fraction(1, 16))      # offset -2 scaled by w^-2
-        assert not vec.coeff(1)                         # positive offsets vanish
+        assert vec(0) == ONE                      # offset 0
+        assert vec(2) == gr(Fraction(1, 16))      # offset -2 scaled by w^-2
+        assert not vec(1)                         # positive offsets vanish
 
 
 class TestDenseFamily:
@@ -151,9 +151,7 @@ class TestExpansionCoefficient:
     def test_orbit_functional_is_expansion(self, mixed_av, op):
         # coordinate 0 of T^n x equals b(n) for x = sum_i b(i) w^(-i) e_i
         horizon = 64
-        x = LazyVector(
-            coeff_fn=lambda m: expansion_coefficient(mixed_av, m) * (op.weight ** -m),
-            spans=((0, horizon + 1),))
+        x = lambda m: expansion_coefficient(mixed_av, m) * (op.weight ** -m)
         for n in range(1, horizon + 1):
             assert functional_eval(apply_power(op, x, n)) == \
                 expansion_coefficient(mixed_av, n)
@@ -335,8 +333,7 @@ class TestOrbitApproach:
                     return a * (op.weight ** -m) if a else ZERO
                 return ZERO
 
-            vec = LazyVector(coeff_fn=layer_coeff, spans=((0, 2 ** 12),))
-            estimate = vector_norm(op, vec)
+            estimate = vector_norm(op, layer_coeff, 0, 2 ** 12)
             cap = float(av.budgets.budget(level)) * tail_constant(op, level)
             assert estimate.value <= cap + 1e-9
 
@@ -418,6 +415,7 @@ class TestAssembly:
                   for s in range(1, 7))
         for _ in range(50):
             flips = {n: rng.choice((1, -1)) for n, _ in support}
-            vec = LazyVector.from_coeffs(
-                {n: a * flips[n] * (op.weight ** -n) for n, a in support})
-            assert vector_norm(op, vec).value <= cap + 1e-9
+            table = {n: a * flips[n] * (op.weight ** -n) for n, a in support}
+            estimate = vector_norm(op, lambda m: table.get(m, ZERO),
+                                   support[0][0], support[-1][0] + 1)
+            assert estimate.value <= cap + 1e-9

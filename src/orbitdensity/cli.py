@@ -71,7 +71,8 @@ class RunConfig:
         first = checkpoint_schedule(self.params(), 1).horizons[0]
         if self.horizon < first:
             raise ValueError(f"horizon must be >= {first}, the first checkpoint")
-        self.operator()
+        # build_level_budgets reads the tail constants up to level smax + 1
+        tail_constant(self.operator(), self.smax + 1)
 
     def params(self) -> SeparationParams:
         if self.p_override is not None:

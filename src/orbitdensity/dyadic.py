@@ -139,17 +139,22 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
 
 
 def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
-    """Membership in the level's site set (selected scales only)."""
-    if n < 2:
-        return False
-    m = params.modulus(level)
-    if n % m:
+    """Membership in the level's site set (selected scales only).
+
+    The modulus and the bounds of strip(level, scale) are powers of two and
+    are written as shifts here; the test is the one ``strip_sites`` states.
+    """
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    m = 1 << (level + 1 + params.p)
+    if n < 2 or n & (m - 1):
         return False
     scale = n.bit_length() - 1
-    if not scale_selected(scale) or scale < params.min_scale(level):
+    if scale % SCALE_PERIOD not in SELECTED_RESIDUES or scale < 2 * level + params.p + 2:
         return False
-    lo, hi = strip(level, scale)
-    return n - (lo - 1) >= m and hi - n >= m
+    top = 2 << scale  # 2^(scale+1); the strip is [top - 2*width, top - width)
+    width = 1 << (scale - level)
+    return n - (top - 2 * width - 1) >= m and top - width - n >= m
 
 
 def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator[range]:

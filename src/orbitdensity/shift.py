@@ -95,7 +95,11 @@ def tail_constant(op: ShiftOperator, level: int) -> float:
     if level < 1:
         raise ValueError("level must be >= 1")
     w = op.weight_float
-    head = w ** -(2 ** level)
+    try:
+        head = w ** -(2 ** level)
+    except OverflowError:
+        raise ValueError(f"tail constant at level {level}: 2^{level} exceeds the "
+                         "float range") from None
     if op.is_sup_space:
         return head
     p = op.space_exponent

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .dyadic import (
     SeparationParams,
@@ -393,32 +393,49 @@ class ReturnSet:
 def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> ReturnSet:
     """Materialize the return set to ``horizon``.
 
-    ``sites`` walks candidate indices around the placed windows and keeps
-    those whose functional value has positive real part; ``scan`` evaluates
-    the functional at every index, with no structural shortcut.  Both routes
-    are exact and must agree (the suite compares them).
+    Both routes walk, for each level whose block has positive-real offsets,
+    candidate sites k <= horizon + radius, and keep every n = k - j (j a
+    positive offset, 1 <= n <= horizon) whose exact coefficient
+    ``expansion_coefficient(av, n)`` has positive real part.  They differ
+    only in where the sites come from: ``sites`` takes the ``strip_sites``
+    lists (``site_members``); ``scan`` takes the level's aligned multiples
+    m, 2m, ... and keeps those that pass the modular ``in_site_set`` test,
+    so it never touches the site lists.
+
+    The scan equals the per-index scan ``{n : Re b(n) > 0}`` for any block
+    contents, with no appeal to separation.  If Re b(n) > 0, then
+    ``expansion_coefficient`` returned the coefficient at offset k - n of
+    some level, for an aligned k <= n + radius that passed ``in_site_set``;
+    that offset is one of the level's positive offsets, so the walk
+    generates n.  Every walked n is confirmed by ``expansion_coefficient``.
+    Both routes are exact and must agree (the suite compares them).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    params = av.params
     if method == "scan":
-        members = [n for n in range(1, horizon + 1)
-                   if expansion_coefficient(av, n).re > 0]
+        def sites(level: int, limit: int) -> Iterable[int]:
+            m = params.modulus(level)
+            return (k for k in range(m, limit + 1, m) if in_site_set(params, level, k))
     elif method == "sites":
-        found: set[int] = set()
-        for level in av.active_levels:
-            block = av.blocks[level]
-            offsets = block.positive_offsets()
-            if not offsets:
-                continue
-            for k in site_members(av.params, level, horizon + block.radius):
-                for j in offsets:
-                    n = k - j
-                    if 1 <= n <= horizon and expansion_coefficient(av, n).re > 0:
-                        found.add(n)
-        members = sorted(found)
+        def sites(level: int, limit: int) -> Iterable[int]:
+            return site_members(params, level, limit)
     else:
         raise ValueError("method must be 'sites' or 'scan'")
-    return ReturnSet(members=tuple(members), horizon=horizon)
+    found: list[int] = []
+    for level in av.active_levels:
+        block = av.blocks[level]
+        offsets = block.positive_offsets()
+        if not offsets:
+            continue
+        for k in sites(level, horizon + block.radius):
+            for j in offsets:
+                n = k - j
+                if 1 <= n <= horizon and expansion_coefficient(av, n).re > 0:
+                    found.append(n)
+    found.sort()
+    members = tuple(n for n, _ in itertools.groupby(found))
+    return ReturnSet(members=members, horizon=horizon)
 
 
 def checkpoint_count(av: AssembledVector, horizon: int) -> int:
@@ -598,9 +615,10 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
                      n_max: int, tail_tol: float = 1e-12) -> list[int]:
     """Orbit steps where the two functional routes disagree in sign.
 
-    Agreement is demanded whenever the exact value's modulus exceeds twice
-    ``tail_tol`` (floats from the series route are exact here too, but the
-    guard keeps the contract honest).  Empty list = full agreement.
+    An index is skipped only when both routes give a modulus of at most
+    twice ``tail_tol``; as soon as either one exceeds it, the signs must
+    agree, so a series value far from an exact zero is flagged too.  Empty
+    list = full agreement.
     """
     if n_max > oracle.horizon:
         raise ValueError("oracle horizon too small")
@@ -608,7 +626,7 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
     for n in range(1, n_max + 1):
         exact = expansion_coefficient(av, n)
         series = oracle.value(n)
-        if float(abs(complex(exact))) <= 2 * tail_tol:
+        if max(abs(complex(exact)), abs(series)) <= 2 * tail_tol:
             continue
         if (exact.re > 0) != (series.real > tail_tol):
             bad.append(n)

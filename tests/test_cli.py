@@ -164,17 +164,18 @@ class TestInvalidConfig:
         ["--omega", "1.0000000000000000001"],
         ["--horizon", "32"],
         ["--omega", "1e400"],
+        ["--smax", "1030"],
     ], ids=["tail-tol-nan", "tail-tol-negative", "tail-tol-inf", "horizon-negative",
             "one-checkpoint", "omega-zero-denominator", "d-zero",
             "omega-float-is-one", "horizon-below-first-checkpoint",
-            "omega-float-overflow"])
+            "omega-float-overflow", "smax-beyond-float-range"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach"])
+    @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach", "smax=1030"])
     def test_config_file_value_checked_before_any_stage(self, tmp_path, line):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")

@@ -146,6 +146,22 @@ class TestMembership:
             assert [n for n in range(1, horizon + 1)
                     if in_site_set(params, level, n)] == members
 
+    @pytest.mark.parametrize("d, p", [(1, 0), (1, 1), (2, 2), (14, 3), (5, 4)])
+    def test_matches_strip_definition(self, d, p):
+        # reference: the distance predicate over every selected strip
+        params = SeparationParams(d=d, p=p)
+        limit = 2 ** 15
+        for level in range(1, 7):
+            expected = [n for scale in range(params.min_scale(level), 15)
+                        if scale % 5 in (0, 2)
+                        for n in brute_sites(params, level, scale)]
+            assert [n for n in range(limit) if in_site_set(params, level, n)] == expected
+
+    def test_rejects_level_zero(self, params):
+        for n in (0, 1, 40, 64):
+            with pytest.raises(ValueError):
+                in_site_set(params, 0, n)
+
     def test_pool_contains_site_set(self, params):
         for level in (1, 2, 3):
             pool = set(brute_pool(params, level, 2 ** 12))

@@ -151,6 +151,12 @@ class TestTailConstant:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-150
 
+    def test_level_beyond_float_range(self, op):
+        # 2^1023 still converts to a float; 2^1024 does not
+        assert tail_constant(op, 1023) == 0.0
+        with pytest.raises(ValueError, match="level 1024"):
+            tail_constant(op, 1024)
+
 
 class TestVectorNorm:
     def test_basis_norm(self, op):

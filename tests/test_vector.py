@@ -30,6 +30,7 @@ from orbitdensity import (
     verify_separation,
     zero_block,
 )
+from orbitdensity import dyadic
 from orbitdensity import vector as vector_module
 from orbitdensity.scalars import IMAG_UNIT, ONE, ZERO
 from orbitdensity.shift import apply_power, functional_eval
@@ -37,6 +38,26 @@ from orbitdensity.shift import apply_power, functional_eval
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+def family_blocks(family, budgets):
+    """A named family; ``hand-built`` mixes signs and places offsets at the
+    radius, and its level 2 has no coefficient with positive real part."""
+    if family == "one-block":
+        return one_block_family(budgets)
+    if family == "enumerated":
+        return dense_family_blocks(budgets)
+    blocks = one_block_family(budgets)
+    tables = {
+        1: {-2: gr(1), -1: gr(-1), 1: gr(0, 1), 2: gr(Fraction(1, 2), Fraction(-1, 2))},
+        2: {-4: gr(-1), 0: gr(0, 1), 4: gr(-1, 1)},
+        3: {-8: gr(2, 1), -3: gr(-1), 0: gr(1), 5: gr(0, -2), 8: gr(1, 1)},
+        4: {-16: gr(Fraction(1, 3), 3)},
+    }
+    for level, coeffs in tables.items():
+        blocks[level] = CoefficientBlock(level=level, coeffs=coeffs,
+                                         bound=budgets.budget(level))
+    return blocks
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +204,19 @@ class TestSeriesOracle:
         oracle = SeriesOracle(av, horizon)
         assert [oracle.value(n) for n in range(1, horizon + 1)] == expected
 
+    def test_flags_series_value_at_exact_zero(self, one_block_av):
+        # b(3) = 0, but an oracle reading 5.0 there must still be flagged
+        av = one_block_av
+        assert expansion_coefficient(av, 3) == ZERO
+
+        class StubOracle:
+            horizon = 64
+
+            def value(self, n):
+                return 5.0 if n == 3 else complex(expansion_coefficient(av, n))
+
+        assert sign_cross_check(av, StubOracle(), 64) == [3]
+
     def test_horizon_guard(self, one_block_av):
         oracle = SeriesOracle(one_block_av, 100)
         with pytest.raises(ValueError):
@@ -233,6 +267,48 @@ class TestReturnSet:
         scan = return_set(enumerated_av, horizon, method="scan")
         sites = return_set(enumerated_av, horizon, method="sites")
         assert scan.members == sites.members
+
+    @pytest.mark.parametrize("d, p", [(1, 1), (2, 2), (3, 2), (1, 3)])
+    @pytest.mark.parametrize("family", ["one-block", "enumerated", "hand-built"])
+    def test_scan_equals_per_index_reference(self, op, budgets, family, d, p):
+        av = AssembledVector(SeparationParams(d=d, p=p), op, budgets,
+                             family_blocks(family, budgets))
+        horizon = 2 ** 14
+        expected = [n for n in range(1, horizon + 1)
+                    if expansion_coefficient(av, n).re > 0]
+        assert expected
+        # horizons just above early members leave their sites outside [1, horizon]
+        for cut in [n + 1 for n in expected[:16]] + [horizon]:
+            assert list(return_set(av, cut, method="scan").members) == \
+                [n for n in expected if n <= cut]
+
+    def test_scan_needs_no_site_lists(self, enumerated_av, monkeypatch):
+        # the scan is the modular route; it must not lean on the site lists
+        horizon = 2 ** 14
+        expected = return_set(enumerated_av, horizon, method="sites").members
+
+        def forbidden(*args):
+            raise AssertionError("scan reached the site-list route")
+
+        monkeypatch.setattr(dyadic, "strip_sites", forbidden)
+        monkeypatch.setattr(dyadic, "site_members", forbidden)
+        monkeypatch.setattr(vector_module, "site_members", forbidden)
+        assert return_set(enumerated_av, horizon, method="scan").members == expected
+
+    def test_scan_cost_guard(self, enumerated_av, monkeypatch):
+        # the scan confirms candidates around sites, never every index
+        horizon = 2 ** 18
+        calls = 0
+        exact = vector_module.expansion_coefficient
+
+        def counted(av, n):
+            nonlocal calls
+            calls += 1
+            return exact(av, n)
+
+        monkeypatch.setattr(vector_module, "expansion_coefficient", counted)
+        assert return_set(enumerated_av, horizon, method="scan").members
+        assert calls < horizon // 8
 
     def test_members_near_sites(self, enumerated_av):
         rs = return_set(enumerated_av, 2 ** 13, method="sites")

@@ -201,10 +201,16 @@ def cmd_sets(config: RunConfig) -> int:
     schedule = checkpoint_schedule(params, config.checkpoints)
     horizons = [n for n in schedule.horizons if n <= config.horizon]
     for level in range(1, config.smax + 1):
-        report = density_ratios(lambda n: count_sites(params, level, n), horizons)
+        held = [n for n in horizons if count_sites(params, level, n)]
+        report = density_ratios(lambda n: count_sites(params, level, n), horizons,
+                                tail_window=len(held))
         _write_csv(out / f"sets_level{level}.csv", report.CSV_HEADER, report.rows())
-        print(f"sets: level {level} tail ratio in "
-              f"[{float(report.running_min):.6g}, {float(report.running_max):.6g}]")
+        if held:
+            print(f"sets: level {level} ratio in "
+                  f"[{float(report.running_min):.6g}, {float(report.running_max):.6g}] "
+                  f"over the {len(held)} checkpoints {held[0]}..{held[-1]} that hold sites")
+        else:
+            print(f"sets: level {level} has no site up to {horizons[-1]}")
     return 0
 
 
@@ -274,7 +280,7 @@ def cmd_vector(config: RunConfig) -> int:
 
 
 def cmd_orbit(config: RunConfig) -> int:
-    """Density experiment, sign cross-check, and decomposition identity."""
+    """Density experiment, exact cross-check, and decomposition identity."""
     out = _out_dir(config)
     av = _build_vector(config)
     schedule = checkpoint_schedule(av.params, config.checkpoints)
@@ -286,8 +292,7 @@ def cmd_orbit(config: RunConfig) -> int:
                 {"family": config.family, **experiment.to_json_dict()})
 
     oracle = SeriesOracle(av, config.series_horizon)
-    disagreements = sign_cross_check(av, oracle, config.series_horizon,
-                                     tail_tol=config.tail_tol)
+    disagreements = sign_cross_check(av, oracle, config.series_horizon)
 
     # one scan to the largest checkpoint in range; smaller ones count by bisect
     scanned = [h for h in schedule.horizons if h <= min(config.horizon, 2 ** 18)]
@@ -297,7 +302,7 @@ def cmd_orbit(config: RunConfig) -> int:
 
     ok = (not disagreements) and identity_ok and experiment.separation_flag
     print(f"orbit: separation={experiment.separation_flag} "
-          f"sign_disagreements={len(disagreements)} identity={'pass' if identity_ok else 'FAIL'}")
+          f"disagreements={len(disagreements)} identity={'pass' if identity_ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -330,7 +335,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--series-horizon", dest="series_horizon", type=int,
                         help="series-oracle horizon (default 2^14)")
     parser.add_argument("--tail-tol", dest="tail_tol", type=float,
-                        help="norm tail tolerance (default 1e-12)")
+                        help="validated (finite, > 0) and accepted, but read by "
+                             "no check (default 1e-12)")
     parser.add_argument("--family", choices=["one-block", "enumerated"],
                         help="coefficient family (default one-block)")
     parser.add_argument("--out", help="output directory (default out)")

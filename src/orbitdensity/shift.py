@@ -8,10 +8,11 @@ only norms are floating point, and those come with explicit tail
 certificates.
 
 A vector is its coefficient function on the coordinates m >= 0.  The
-certificate needs three facts about the operator: coordinate 0 of T^n x
-(``functional_eval`` of ``apply_power``), the tail constants eps(s) behind
-the unconditional sums of the Frequent Hypercyclicity Criterion
-(``tail_constant``), and a certified norm (``vector_norm``).
+certificate reads the tail constants eps(s) behind the unconditional sums
+of the Frequent Hypercyclicity Criterion (``tail_constant``) and a
+certified norm (``vector_norm``).  The verdict reads b(n) through
+``vector.expansion_coefficient``; the suite checks it against coordinate 0
+of T^n x (``functional_eval`` of ``apply_power``).
 
 The coordinate-0 vector generates a two-sided chain whose span is dense:
 the inverse chain at step n is the basis vector at index n scaled by w^(-n)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -37,14 +36,7 @@ from .dyadic import (
 )
 from .densities import density_ratios
 from .scalars import GaussianRational, ZERO, ONE
-from .shift import (
-    Coeffs,
-    ShiftOperator,
-    apply_power,
-    functional_eval,
-    tail_constant,
-    vector_norm,
-)
+from .shift import ShiftOperator, tail_constant, vector_norm
 
 @dataclass(frozen=True)
 class LevelBudgets:
@@ -123,16 +115,6 @@ class CoefficientBlock:
         if not self.coeffs:
             return 0.0
         return max(math.sqrt(float(a.abs_sq())) for a in self.coeffs.values())
-
-    def vector(self, op: ShiftOperator) -> Coeffs:
-        """Block vector: coordinate m is a(-m) * w^(-m) for 0 <= m <= radius.
-
-        Chain steps at positive offsets vanish for the shift, so only
-        offsets j <= 0 show up in coordinates.
-        """
-        w = op.weight
-        table = {-j: a * (w ** j) for j, a in self.coeffs.items() if j <= 0}
-        return lambda m: table.get(m, ZERO)
 
 
 def zero_block(level: int, bound: Fraction) -> CoefficientBlock:
@@ -297,89 +279,65 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
 
 
 class SeriesOracle:
-    """Independent summation route to the orbit functional.
+    """Independent summation route to the exact coefficients b(n), 1 <= n <= horizon.
 
-    The n-step functional is coordinate n of the vector times w^n, which is
-    the sum of the placed block coefficients a_{k-n} over the sites k whose
-    windows cover n.  Every level's site list is materialized once from the
-    ``strip_sites`` ranges (via ``site_members``), and the covering sites
-    are found by ``bisect`` on those lists.  No ``in_site_set`` or
+    Every active level's block coefficients are scattered once over the
+    level's site list from the ``strip_sites`` ranges (``site_members``): a
+    site k contributes a_j at n = k - j.  Contributions to the same n are
+    summed, not overwritten, so the map does not assume separation: two
+    overlapping windows would show up as a disagreement with
+    ``expansion_coefficient``.  No ``in_site_set`` or
     ``expansion_coefficient`` call is involved, so this route shares no
-    membership test with the route it checks.  The sum is exact; only the
-    final value is converted to a complex float.
+    membership test with the route it checks.
     """
 
     def __init__(self, av: AssembledVector, horizon: int) -> None:
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.av = av
         self.horizon = horizon
-        self._members = {
-            level: site_members(av.params, level, horizon + 2 ** level)
-            for level in av.active_levels
-        }
+        values: dict[int, GaussianRational] = {}
+        for level in av.active_levels:
+            block = av.blocks[level]
+            for k in site_members(av.params, level, horizon + block.radius):
+                for j, a in block.coeffs.items():
+                    n = k - j
+                    if 1 <= n <= horizon:
+                        values[n] = values.get(n, ZERO) + a
+        self._values = values
 
-    def value(self, n: int) -> complex:
+    def value(self, n: int) -> GaussianRational:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"orbit step {n} outside oracle horizon {self.horizon}")
-        av = self.av
-        total = ZERO
-        for level, members in self._members.items():
-            block = av.blocks[level]
-            radius = block.radius
-            lo = bisect_left(members, n - radius)
-            hi = bisect_right(members, n + radius)
-            for k in members[lo:hi]:
-                total = total + block.a(k - n)
-        return complex(total)
+        return self._values.get(n, ZERO)
 
 
 def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
     """Hits per placed window: offsets t in [-(2^level+d), 2^level+d] whose
-    t-step block orbit lands in the half-space.
+    t-step orbit lands in the half-space.
 
-    The count is read off the block (positive-real coefficients); with
-    ``verify`` it is re-derived by direct functional evaluation over the
-    whole window, which must agree.
+    The count is read off the block (positive-real coefficients).  With
+    ``verify`` it is re-derived on the assembled vector: the indices n in
+    [k - 2^level - d, k + 2^level + d] around the level's first site k with
+    Re b(n) > 0.  Separation keeps every other window at least 2d + 1 away
+    from the one placed at k, so the two counts must agree.  The first site
+    lies below 2^(min_scale + 4), by the argument of
+    ``nearest_site_distance``.
     """
     block = av.blocks.get(level)
     if block is None:
         raise ValueError(f"no block at level {level}")
     count = block.positive_count()
     if verify:
-        direct = 0
-        span = block.radius + av.params.d
-        base = block.vector(av.op)
-        for t in range(-span, span + 1):
-            if t >= 0:
-                value = functional_eval(apply_power(av.op, base, t))
-            else:
-                value = functional_eval(_backward_orbit_vector(av.op, block, t))
-            if value.re > 0:
-                direct += 1
+        params = av.params
+        k = site_members(params, level, 2 ** (params.min_scale(level) + 4))[0]
+        span = block.radius + params.d
+        direct = sum(1 for n in range(k - span, k + span + 1)
+                     if expansion_coefficient(av, n).re > 0)
         if direct != count:
             raise RuntimeError(
                 f"hit count mismatch at level {level}: block {count}, direct {direct}"
             )
     return count
-
-
-def _backward_orbit_vector(op: ShiftOperator, block: CoefficientBlock,
-                           step: int) -> Coeffs:
-    """Coordinates of the step < 0 orbit of a block vector.
-
-    Coordinate m collects the offset -m-step, scaled by w^(-m); no clipping
-    happens for backward steps, so this is exact for every step <= 0.
-    """
-    if step > 0:
-        raise ValueError("use apply_power for forward steps")
-    w = op.weight
-
-    def coeff(m: int) -> GaussianRational:
-        a = block.a(-m - step)
-        return a * (w ** -m) if a else ZERO
-
-    return coeff
 
 
 @dataclass(frozen=True)
@@ -613,21 +571,15 @@ def density_experiment(av: AssembledVector, schedule: Checkpoints,
 
 def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
                      n_max: int, tail_tol: float = 1e-12) -> list[int]:
-    """Orbit steps where the two functional routes disagree in sign.
+    """Orbit steps n in [1, n_max] where the two routes to b(n) differ.
 
-    An index is skipped only when both routes give a modulus of at most
-    twice ``tail_tol``; as soon as either one exceeds it, the signs must
-    agree, so a series value far from an exact zero is flagged too.  Empty
+    ``expansion_coefficient`` and ``oracle.value`` are compared as exact
+    values, so any difference is flagged, not only one in the sign of the
+    real part.  No float enters the comparison, so nothing reads
+    ``tail_tol``; it is still accepted for callers that pass it.  Empty
     list = full agreement.
     """
     if n_max > oracle.horizon:
         raise ValueError("oracle horizon too small")
-    bad: list[int] = []
-    for n in range(1, n_max + 1):
-        exact = expansion_coefficient(av, n)
-        series = oracle.value(n)
-        if max(abs(complex(exact)), abs(series)) <= 2 * tail_tol:
-            continue
-        if (exact.re > 0) != (series.real > tail_tol):
-            bad.append(n)
-    return bad
+    return [n for n in range(1, n_max + 1)
+            if expansion_coefficient(av, n) != oracle.value(n)]

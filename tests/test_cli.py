@@ -6,6 +6,7 @@ import pytest
 
 from orbitdensity import cli
 from orbitdensity.cli import load_config_file, main
+from orbitdensity.scalars import IMAG_UNIT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +39,16 @@ class TestSets:
             assert lines[0] == "checkpoint,count,ratio_num,ratio_den,ratio_float"
         assert (out / "sets_level1.csv").read_text().splitlines()[1] == \
             "64,1,1,64,0.015625"
+
+    def test_stdout_names_the_window_that_holds_sites(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["sets", "--config", str(ROOT / "run.cfg"), "--smax", "12",
+                    "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("sets: level 2 ratio in [0.00390625, 0.0100797] over the "
+                            "7 checkpoints 256..8388608 that hold sites")
+        assert lines[11] == "sets: level 12 has no site up to 8388608"
+        assert not any("[0," in line for line in lines)
 
 
 class TestVerify:
@@ -114,6 +125,19 @@ class TestOrbitCommand:
         assert run(["orbit", "--series-horizon", "1024",
                     "--out", str(tmp_path / "out")]) == 1
         assert "identity=FAIL" in capsys.readouterr().out
+
+
+    def test_cross_check_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        # an oracle off by i at one n with Re b(n) > 0 still has the right sign
+        class OffOracle(cli.SeriesOracle):
+            def value(self, n):
+                exact = super().value(n)
+                return exact + IMAG_UNIT if n == 40 else exact
+
+        monkeypatch.setattr(cli, "SeriesOracle", OffOracle)
+        assert run(["orbit", "--series-horizon", "1024",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert "disagreements=1 " in capsys.readouterr().out
 
 
 class TestConfigMerging:

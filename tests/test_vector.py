@@ -112,15 +112,6 @@ class TestCoefficientBlock:
         block = zero_block(3, Fraction(3))
         assert block.is_zero and block.positive_count() == 0
 
-    def test_vector_coordinates(self, op):
-        block = CoefficientBlock(
-            level=1, coeffs={-2: gr(Fraction(1, 4)), 0: ONE, 1: gr(3, 1)},
-            bound=Fraction(4))
-        vec = block.vector(op)
-        assert vec(0) == ONE                      # offset 0
-        assert vec(2) == gr(Fraction(1, 16))      # offset -2 scaled by w^-2
-        assert not vec(1)                         # positive offsets vanish
-
 
 class TestDenseFamily:
     def test_deterministic(self, budgets):
@@ -182,8 +173,7 @@ class TestSeriesOracle:
     def test_agrees_with_exact_route(self, enumerated_av):
         oracle = SeriesOracle(enumerated_av, 2 ** 11)
         for n in range(1, 2 ** 11 + 1):
-            exact = complex(expansion_coefficient(enumerated_av, n))
-            assert oracle.value(n) == exact
+            assert oracle.value(n) == expansion_coefficient(enumerated_av, n)
 
     def test_no_sign_disagreements(self, enumerated_av):
         oracle = SeriesOracle(enumerated_av, 2 ** 11)
@@ -194,7 +184,7 @@ class TestSeriesOracle:
         # the oracle must reach its values without the route it checks
         av = request.getfixturevalue(family)
         horizon = 2 ** 12
-        expected = [complex(expansion_coefficient(av, n)) for n in range(1, horizon + 1)]
+        expected = [expansion_coefficient(av, n) for n in range(1, horizon + 1)]
 
         def forbidden(*args):
             raise AssertionError("SeriesOracle reached the membership route")
@@ -205,7 +195,7 @@ class TestSeriesOracle:
         assert [oracle.value(n) for n in range(1, horizon + 1)] == expected
 
     def test_flags_series_value_at_exact_zero(self, one_block_av):
-        # b(3) = 0, but an oracle reading 5.0 there must still be flagged
+        # b(3) = 0, but an oracle reading 5 there must still be flagged
         av = one_block_av
         assert expansion_coefficient(av, 3) == ZERO
 
@@ -213,9 +203,23 @@ class TestSeriesOracle:
             horizon = 64
 
             def value(self, n):
-                return 5.0 if n == 3 else complex(expansion_coefficient(av, n))
+                return gr(5) if n == 3 else expansion_coefficient(av, n)
 
         assert sign_cross_check(av, StubOracle(), 64) == [3]
+
+    def test_flags_difference_with_same_sign(self, one_block_av):
+        # b(40) = 1; an oracle reading 1 + i agrees in sign but not in value
+        av = one_block_av
+        assert expansion_coefficient(av, 40).re > 0
+
+        class StubOracle:
+            horizon = 64
+
+            def value(self, n):
+                exact = expansion_coefficient(av, n)
+                return exact + IMAG_UNIT if n == 40 else exact
+
+        assert sign_cross_check(av, StubOracle(), 64) == [40]
 
     def test_horizon_guard(self, one_block_av):
         oracle = SeriesOracle(one_block_av, 100)
@@ -241,6 +245,32 @@ class TestHitCounts:
         for level in range(1, 7):
             assert site_hit_count(enumerated_av, level, verify=False) <= \
                 2 ** (level + 1) + 2 * d + 1
+
+    def test_planted_coefficient_fails(self, one_block_av, monkeypatch):
+        # a positive b(n) inside level 1's first-site window breaks the count
+        k = site_members(one_block_av.params, 1, 2 ** 10)[0]
+        real = vector_module.expansion_coefficient
+        monkeypatch.setattr(vector_module, "expansion_coefficient",
+                            lambda av, n: ONE if n == k + 2 else real(av, n))
+        assert site_hit_count(one_block_av, 1, verify=False) == 1
+        with pytest.raises(RuntimeError):
+            site_hit_count(one_block_av, 1, verify=True)
+
+    def test_cost_guard(self, enumerated_av, monkeypatch):
+        # verify reads one window of the assembled vector, nothing more
+        real = vector_module.expansion_coefficient
+        calls = []
+
+        def counting(av, n):
+            calls.append(n)
+            return real(av, n)
+
+        monkeypatch.setattr(vector_module, "expansion_coefficient", counting)
+        d = enumerated_av.params.d
+        for level in range(1, 7):
+            calls.clear()
+            site_hit_count(enumerated_av, level, verify=True)
+            assert len(calls) == 2 ** (level + 1) + 2 * d + 1
 
     def test_independent_of_site(self, enumerated_av):
         # direct window tally at sampled sites must reproduce the block count

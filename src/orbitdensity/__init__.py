@@ -19,7 +19,6 @@ from .dyadic import (
     count_sites,
     in_site_set,
     min_alignment_exponent,
-    nearest_site_distance,
     scale_mass,
     scale_mass_limit,
     site_members,

@@ -11,16 +11,14 @@ of width 2^(j-s); strips with distinct (level, scale) never overlap.  The
 2^(s+1+p) lying at least one modulus away from the strip boundary, defined
 for scales j >= 2s+p+2 so that the strip is wide enough to contain some.
 
-Two families are built from the sites:
-
-* the site *pool* of level s: sites over all admissible scales.  Pool members
-  of any two levels are separated by at least the larger alignment modulus,
-  which is what makes the later vector assembly non-interfering;
-* the site *set* of level s: only scales j with j mod 5 in {0, 2} are kept.
-  The kept scales carry a dyadically weighted mass whose normalized partial
-  sums converge to different rational limits (denominator 31) along the two
-  residue classes, so the counting ratio of a site set oscillates forever
-  between two distinct values along the checkpoint horizons 2^(q+1).
+The *site set* of level s keeps only the scales j with j mod 5 in {0, 2}.
+Its members, and those of any two levels, are separated by at least the
+larger alignment modulus, which is what makes the later vector assembly
+non-interfering.  The kept scales carry a dyadically weighted mass whose
+normalized partial sums converge to different rational limits (denominator
+31) along the two residue classes, so the counting ratio of a site set
+oscillates forever between two distinct values along the checkpoint
+horizons 2^(q+1).
 
 Everything here is exact integer/rational arithmetic; per-scale counts use
 closed-form range arithmetic so horizons near 2^33 stay cheap.
@@ -28,7 +26,6 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -97,7 +94,7 @@ class SeparationParams:
         return cls(d=d, p=min_alignment_exponent(d))
 
     def is_admissible(self) -> bool:
-        return self.p >= 1 and 2 ** (2 + self.p) >= 4 + 2 * self.d + 1
+        return self.p >= min_alignment_exponent(self.d)
 
     def modulus(self, level: int) -> int:
         """Alignment modulus 2^(level+1+p)."""
@@ -133,9 +130,7 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
         )
     lo, hi = strip(level, scale)
     m = params.modulus(level)
-    first = ((lo + m - 1 + m - 1) // m) * m  # smallest multiple at margin >= m
-    last = hi - m  # largest multiple with hi - site >= m
-    return range(first, last + 1, m)
+    return range(lo + m, hi, m)
 
 
 def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
@@ -182,21 +177,6 @@ def count_sites(params: SeparationParams, level: int, horizon: int) -> int:
     return sum(len(sites) for sites in _site_ranges(params, level, horizon))
 
 
-def nearest_site_distance(params: SeparationParams, level: int, n: int) -> int:
-    """Exact distance from n to the level's site set (never empty upward).
-
-    Selected scales are at most 3 apart and each one hosts a site, so the
-    least site above n lies below 2^(max(min_scale, bit_length(n)) + 4).
-    """
-    window = 2 ** (max(params.min_scale(level), n.bit_length()) + 4)
-    best = window
-    for sites in _site_ranges(params, level, window):
-        i = bisect_left(sites, n)
-        for site in sites[max(i - 1, 0):i + 1]:
-            best = min(best, abs(n - site))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Normalized selected-scale mass
 # ---------------------------------------------------------------------------
@@ -216,18 +196,23 @@ def scale_mass_limit(residue: int) -> Fraction:
     return _MASS_LIMITS[residue]
 
 
-def mass_table_rows(a_lo: int, a_hi: int, b_max: int) -> list[tuple]:
-    """CSV rows (a, b, b_mod_5, S_num, S_den, limit_num, limit_den, abs_err_float)."""
+def mass_table_rows(a_lo: int, a_hi: int, b_max: int) -> tuple[list[tuple], int]:
+    """CSV rows (a, b, b_mod_5, S_num, S_den, limit_num, limit_den, abs_err_float)
+    and how many exact bounds they fail, S <= ``MASS_SUP_BOUND`` and
+    |S - limit| <= 64 * 2^(a-b), so a row failing both counts twice."""
     if a_lo < 0 or a_hi < a_lo or b_max <= a_hi:
         raise ValueError("need 0 <= a_lo <= a_hi < b_max")
     rows = []
+    failures = 0
     for a in range(a_lo, a_hi + 1):
         for b in range(a + 1, b_max + 1):
             s = scale_mass(a, b)
             limit = scale_mass_limit(b % SCALE_PERIOD)
+            err = abs(s - limit)
+            failures += (s > MASS_SUP_BOUND) + (err > Fraction(64 * 2 ** a, 2 ** b))
             rows.append((a, b, b % SCALE_PERIOD, s.numerator, s.denominator,
-                         limit.numerator, limit.denominator, float(abs(s - limit))))
-    return rows
+                         limit.numerator, limit.denominator, float(err)))
+    return rows, failures
 
 
 MASS_TABLE_HEADER = ("a", "b", "b_mod_5", "S_num", "S_den",
@@ -368,19 +353,25 @@ def verify_separation(params: SeparationParams, max_level: int,
 
 def verify_checkpoint_gap(params: SeparationParams, max_level: int,
                           count: int) -> CheckReport:
-    """Exact distance from every checkpoint to every site set vs 2^level + d."""
+    """No site of any level within 2^level + d of a checkpoint H: every aligned
+    multiple in the open window (H - 2^level - d, H + 2^level + d) is put to
+    ``in_site_set``, and a violation reports the nearest site found, which is
+    the exact distance from H to the site set."""
     if max_level < 1 or count < 1:
         raise ValueError("max_level and count must be >= 1")
     schedule = checkpoint_schedule(params, count)
     range_ = {"max_level": max_level, "checkpoints": count}
     for level in range(1, max_level + 1):
         need = 2 ** level + params.d
+        m = params.modulus(level)
         for q, horizon in zip(schedule.exponents, schedule.horizons):
-            dist = nearest_site_distance(params, level, horizon)
-            if dist < need:
+            first = -((need - 1 - horizon) // m) * m  # least multiple > horizon - need
+            near = [abs(k - horizon) for k in range(first, horizon + need, m)
+                    if in_site_set(params, level, k)]
+            if near:
                 return _report("checkpoint_gap", params, range_, {
                     "condition": "checkpoint_gap", "level": level, "q": q,
-                    "horizon": horizon, "distance": dist, "required": need})
+                    "horizon": horizon, "distance": min(near), "required": need})
     return _report("checkpoint_gap", params, range_)
 
 

@@ -194,18 +194,21 @@ def dense_family_blocks(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
         previous = level
     for level in range(1, budgets.max_level + 1):
         blocks.setdefault(level, zero_block(level, budgets.budget(level)))
-    if not any(blocks[level].positive_count() for level in range(1, 4)):
-        raise RuntimeError("enumeration produced no positive-real block at levels 1..3")
     return blocks
 
 
 class AssembledVector:
     """The placed-block coefficient vector; immutable after construction.
 
-    Construction enforces the closed-form spacing inequalities that keep the
-    placed windows of all level pairs disjoint with clearance at least
-    2d + 1; ``dyadic.verify_separation`` checks the same spacing member by
-    member.
+    Construction requires admissible parameters, 2^(p+2) - 4 >= 2d + 1, and
+    that alone keeps the placed windows of all level pairs disjoint with
+    clearance at least 2d + 1, since sites of levels s <= t are at least
+    2^(t+1+p) apart.  For s < t:
+
+        same level:  2^(s+1+p) - 2^(s+1) >= 2^(p+2) - 4 >= 2d + 1,
+        cross level: 2^(t+1+p) - 2^s - 2^t > 2^(t+1)(2^p - 1) >= 2d + 1.
+
+    ``dyadic.verify_separation`` checks the same spacing member by member.
     """
 
     def __init__(self, params: SeparationParams, op: ShiftOperator,
@@ -228,14 +231,6 @@ class AssembledVector:
         for level in range(1, self.max_level + 1):
             table.setdefault(level, zero_block(level, budgets.budget(level)))
         self.blocks = dict(sorted(table.items()))
-
-        clearance = 2 * params.d + 1
-        for s in range(1, self.max_level + 1):
-            if params.modulus(s) - 2 ** (s + 1) < clearance:
-                raise ValueError(f"same-level windows too close at level {s}")
-            for t in range(s + 1, self.max_level + 1):
-                if params.modulus(t) - 2 ** s - 2 ** t < clearance:
-                    raise ValueError(f"cross-level windows too close for {s},{t}")
 
         # hot-path data for coefficient lookups: (level, modulus, radius, coeffs)
         self._lookup = tuple(
@@ -320,8 +315,8 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
     [k - 2^level - d, k + 2^level + d] around the level's first site k with
     Re b(n) > 0.  Separation keeps every other window at least 2d + 1 away
     from the one placed at k, so the two counts must agree.  The first site
-    lies below 2^(min_scale + 4), by the argument of
-    ``nearest_site_distance``.
+    lies below 2^(min_scale + 4): selected scales are at most 3 apart and
+    each one from min_scale on hosts a site.
     """
     block = av.blocks.get(level)
     if block is None:

@@ -1,10 +1,11 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from orbitdensity import cli
+from orbitdensity import cli, dyadic
 from orbitdensity.cli import load_config_file, main
 from orbitdensity.scalars import IMAG_UNIT
 
@@ -23,6 +24,22 @@ class TestFact0:
         lines = (out / "fact0.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "a,b,b_mod_5,S_num,S_den,limit_num,limit_den,abs_err_float"
         assert len(lines) == 1 + 60
+
+    @pytest.mark.parametrize("sup, limit, failures", [
+        (Fraction(-1), None, 60), (None, Fraction(100), 60),
+        (Fraction(-1), Fraction(100), 120)], ids=["sup", "limit", "both"])
+    def test_failed_bound_exits_1(self, tmp_path, capsys, monkeypatch, sup, limit,
+                                  failures):
+        # a negative supremum or a far-off limit fails every row; a row
+        # failing both bounds counts twice
+        if sup is not None:
+            monkeypatch.setattr(dyadic, "MASS_SUP_BOUND", sup)
+        if limit is not None:
+            monkeypatch.setattr(dyadic, "scale_mass_limit", lambda residue: limit)
+        out = tmp_path / "out"
+        assert run(["fact0", "--a-min", "5", "--a-max", "5", "--b-max", "65",
+                    "--out", str(out)]) == 1
+        assert f"fact0: 60 rows, {failures} failures" in capsys.readouterr().out
 
     def test_bad_range_is_usage_error(self, tmp_path):
         assert run(["fact0", "--a-min", "5", "--a-max", "4", "--b-max", "65",
@@ -189,17 +206,19 @@ class TestInvalidConfig:
         ["--horizon", "32"],
         ["--omega", "1e400"],
         ["--smax", "1030"],
+        ["--p", "0"],
     ], ids=["tail-tol-nan", "tail-tol-negative", "tail-tol-inf", "horizon-negative",
             "one-checkpoint", "omega-zero-denominator", "d-zero",
             "omega-float-is-one", "horizon-below-first-checkpoint",
-            "omega-float-overflow", "smax-beyond-float-range"])
+            "omega-float-overflow", "smax-beyond-float-range", "p-inadmissible"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach", "smax=1030"])
+    @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach", "smax=1030",
+                                      "p_override=0"])
     def test_config_file_value_checked_before_any_stage(self, tmp_path, line):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")

@@ -14,7 +14,6 @@ from orbitdensity import (
     count_sites,
     in_site_set,
     min_alignment_exponent,
-    nearest_site_distance,
     scale_mass,
     scale_mass_limit,
     site_members,
@@ -345,35 +344,61 @@ class TestVerifySeparation:
         assert payload["pass"] is True
 
 
+def brute_distance(params, level, n):
+    """Distance from n to the level's site set, from the materialized list.
+
+    Selected scales are at most 3 apart and each hosts a site, so the next
+    site above n lies below 2^(max(min_scale, bit_length(n)) + 4).
+    """
+    top = 2 ** (max(params.min_scale(level), n.bit_length()) + 4)
+    return min(abs(n - k) for k in site_members(params, level, top))
+
+
 class TestCheckpointGap:
-    def test_distance_examples(self, params):
-        assert nearest_site_distance(params, 1, 64) == 24
-        assert nearest_site_distance(params, 2, 64) == 144
-
-    def test_matches_brute_force(self):
-        for p in (1, 3):
-            params = SeparationParams(d=1, p=p)
-            for level in range(1, 7):
-                # the next site above any n < 2^14 lies below 2^18
-                members = site_members(params, level, 2 ** 18)
-                probes = [1, 64, 100, 256, 2048, 8192, 2 ** 14 - 1]
-                early = site_members(params, level, 2 ** 14)
-                if early:  # n above the last member <= 2^14
-                    probes += [early[-1] + 1, early[-1] + 5]
-                for n in probes:
-                    brute = min(abs(n - m) for m in members)
-                    assert nearest_site_distance(params, level, n) == brute
-
     def test_suite_passes(self, params):
         report = verify_checkpoint_gap(params, 4, 8)
         assert report.passed
 
     def test_required_clearance(self, params):
+        # a site closer than the clearance lies below horizon + need
         schedule = checkpoint_schedule(params, 8)
         for level in range(1, 5):
+            need = 2 ** level + params.d
             for horizon in schedule.horizons:
-                assert nearest_site_distance(params, level, horizon) >= \
-                    2 ** level + params.d
+                sites = site_members(params, level, horizon + need)
+                assert all(abs(horizon - k) >= need for k in sites)
+
+    def test_matches_brute_force(self):
+        # brute force: the first (level, checkpoint) whose nearest site from
+        # the site list sits closer than 2^level + d; the sweep holds failing
+        # parameters at levels 1 and 2
+        failed_levels = set()
+        for d, p in [(1, 0), (1, 1), (3, 0), (3, 1), (20, 0), (20, 1), (40, 0), (40, 1),
+                     (100, 0), (100, 1), (14, 3), (80, 2), (95, 3), (381, 4)]:
+            params = SeparationParams(d=d, p=p)
+            schedule = checkpoint_schedule(params, 4)
+            expected = None
+            for level in range(1, 4):
+                for q, horizon in zip(schedule.exponents, schedule.horizons):
+                    dist = brute_distance(params, level, horizon)
+                    if expected is None and dist < 2 ** level + d:
+                        expected = (level, q, dist)
+            report = verify_checkpoint_gap(params, 3, 4)
+            assert report.passed == (expected is None)
+            if expected is not None:
+                violation = report.first_violation
+                assert (violation["level"], violation["q"], violation["distance"]) == expected
+                assert violation["required"] == 2 ** expected[0] + d
+                failed_levels.add(expected[0])
+        assert failed_levels == {1, 2}
+
+    def test_gap_needs_no_site_lists(self, params, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("verify_checkpoint_gap reached the site-list route")
+
+        for name in ("strip_sites", "site_members", "_site_ranges"):
+            monkeypatch.setattr(dyadic, name, forbidden)
+        assert verify_checkpoint_gap(params, 4, 8).passed
 
 
 class TestSuiteChecks:

@@ -17,7 +17,7 @@ import os
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from .vector import (
     AssembledVector,
     SeriesOracle,
     build_level_budgets,
-    checkpoint_count,
     dense_family_blocks,
     density_experiment,
     one_block_family,
@@ -106,23 +105,19 @@ def _parse_space(text: str) -> float:
     raise ValueError(f"unknown space {text!r} (use l2, c0, or lp:P)")
 
 
-_INT_FIELDS = {"d", "p_override", "smax", "checkpoints", "horizon",
-               "series_horizon", "seed"}
-_FLOAT_FIELDS = {"tail_tol"}
+# RunConfig's field annotations (strings, by the __future__ import) -> parser
+# of a config-file or environment value; any other field stays a str
+_PARSERS = {"int": int, "int | None": int, "float": float}
 
 
-def _coerce(name: str, raw: str):
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name in _FLOAT_FIELDS:
-        return float(raw)
-    return raw
+def _coerce(field: Field, raw: str):
+    return _PARSERS.get(field.type, str)(raw)
 
 
 def load_config_file(path: str | Path) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
     values: dict = {}
-    known = {f.name for f in fields(RunConfig)}
+    known = {f.name: f for f in fields(RunConfig)}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -133,7 +128,7 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        values[key] = _coerce(known[key], raw.strip())
     return values
 
 
@@ -142,7 +137,7 @@ def _env_overrides() -> dict:
     for f in fields(RunConfig):
         raw = os.environ.get(ENV_PREFIX + f.name.upper())
         if raw is not None:
-            values[f.name] = _coerce(f.name, raw)
+            values[f.name] = _coerce(f, raw)
     return values
 
 
@@ -196,14 +191,13 @@ def cmd_sets(config: RunConfig) -> int:
     schedule = checkpoint_schedule(params, config.checkpoints)
     horizons = [n for n in schedule.horizons if n <= config.horizon]
     for level in range(1, config.smax + 1):
-        held = [n for n in horizons if count_sites(params, level, n)]
-        report = density_ratios(lambda n: count_sites(params, level, n), horizons,
-                                tail_window=len(held))
+        report = density_ratios(lambda n: count_sites(params, level, n), horizons)
         _write_csv(out / f"sets_level{level}.csv", report.CSV_HEADER, report.rows())
+        held = {n: r for n, c, r in zip(horizons, report.counts, report.ratios) if c}
         if held:
             print(f"sets: level {level} ratio in "
-                  f"[{float(report.running_min):.6g}, {float(report.running_max):.6g}] "
-                  f"over the {len(held)} checkpoints {held[0]}..{held[-1]} that hold sites")
+                  f"[{float(min(held.values())):.6g}, {float(max(held.values())):.6g}] "
+                  f"over the {len(held)} checkpoints {min(held)}..{max(held)} that hold sites")
         else:
             print(f"sets: level {level} has no site up to {horizons[-1]}")
     return 0
@@ -280,8 +274,7 @@ def cmd_orbit(config: RunConfig) -> int:
     out = _out_dir(config)
     schedule = checkpoint_schedule(av.params, config.checkpoints)
 
-    experiment = density_experiment(av, schedule,
-                                    tail_window=min(6, len(schedule)))
+    experiment = density_experiment(av, schedule)
     _write_csv(out / "orbit_density.csv", experiment.CSV_HEADER, experiment.csv_rows())
     _write_json(out / "orbit_summary.json",
                 {"family": config.family, **experiment.to_json_dict()})
@@ -289,11 +282,12 @@ def cmd_orbit(config: RunConfig) -> int:
     oracle = SeriesOracle(av, config.series_horizon)
     disagreements = sign_cross_check(av, oracle, config.series_horizon)
 
-    # one scan to the largest checkpoint in range; smaller ones count by bisect
-    scanned = [h for h in schedule.horizons if h <= min(config.horizon, 2 ** 18)]
-    members = return_set(av, max(scanned), method="scan").members if scanned else ()
-    identity_ok = all(bisect_right(members, horizon) == checkpoint_count(av, horizon)
-                      for horizon in scanned)
+    # one scan to the largest checkpoint in range (at least the first); bisect
+    # counts its members at each scanned checkpoint against the published rows
+    cap = max(schedule.horizons[0], min(config.horizon, 2 ** 18))
+    scanned = [row for row in experiment.rows if row.horizon <= cap]
+    members = return_set(av, scanned[-1].horizon, method="scan").members
+    identity_ok = all(bisect_right(members, row.horizon) == row.count for row in scanned)
 
     ok = (not disagreements) and identity_ok and experiment.separation_flag
     print(f"orbit: separation={experiment.separation_flag} "
@@ -322,7 +316,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoints", type=int,
                         help="number of checkpoint horizons (default 9)")
     parser.add_argument("--horizon", type=int,
-                        help="combinatorial horizon cap (default 2^23)")
+                        help="caps sets' checkpoints, verify's separation horizon "
+                             "(<= 2^20), vector's samples (<= 2^16) and orbit's scan "
+                             "(<= 2^18), not orbit's density rows (default 2^23)")
     parser.add_argument("--series-horizon", dest="series_horizon", type=int,
                         help="series-oracle horizon (default 2^14)")
     parser.add_argument("--tail-tol", dest="tail_tol", type=float,

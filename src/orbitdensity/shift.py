@@ -168,8 +168,6 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
             continue
         if sup:
             acc = max(acc, math.sqrt(sq))
-        elif p == 2.0:
-            acc += sq
         else:
             acc += sq ** (p / 2.0)
 

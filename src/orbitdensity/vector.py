@@ -53,7 +53,8 @@ class LevelBudgets:
     max_level: int
     weighted_partials: tuple[float, ...]  # partial sums of c(s) * eps(s)
 
-    def budget(self, level: int) -> Fraction:
+    @staticmethod
+    def budget(level: int) -> Fraction:
         if level < 1:
             raise ValueError("level must be >= 1")
         return Fraction(level)
@@ -77,20 +78,21 @@ def build_level_budgets(op: ShiftOperator, max_level: int) -> LevelBudgets:
 
 @dataclass(frozen=True)
 class CoefficientBlock:
-    """One level's exact coefficients a_j, |j| <= 2^level, bounded by ``bound``."""
+    """One level's exact coefficients a_j, |j| <= 2^level; the block itself
+    enforces the level budget |a_j| <= c(level) (``LevelBudgets.budget``)."""
 
     level: int
     coeffs: Mapping[int, GaussianRational]
-    bound: Fraction
 
     def __post_init__(self) -> None:
         radius = 2 ** self.level
+        bound = LevelBudgets.budget(self.level)
         table = {j: a for j, a in dict(self.coeffs).items() if a}
         for j, a in table.items():
             if abs(j) > radius:
                 raise ValueError(f"offset {j} outside radius {radius}")
-            if a.abs_sq() > self.bound * self.bound:
-                raise ValueError(f"coefficient at offset {j} exceeds bound {self.bound}")
+            if a.abs_sq() > bound * bound:
+                raise ValueError(f"coefficient at offset {j} exceeds budget {bound}")
         object.__setattr__(self, "coeffs", table)
 
     def a(self, offset: int) -> GaussianRational:
@@ -117,16 +119,14 @@ class CoefficientBlock:
         return max(math.sqrt(float(a.abs_sq())) for a in self.coeffs.values())
 
 
-def zero_block(level: int, bound: Fraction) -> CoefficientBlock:
-    return CoefficientBlock(level=level, coeffs={}, bound=bound)
+def zero_block(level: int) -> CoefficientBlock:
+    return CoefficientBlock(level=level, coeffs={})
 
 
 def one_block_family(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
-    """Minimal hand-checkable family: level 1 holds the bare chain origin."""
-    blocks = {1: CoefficientBlock(level=1, coeffs={0: ONE}, bound=budgets.budget(1))}
-    for level in range(2, budgets.max_level + 1):
-        blocks[level] = zero_block(level, budgets.budget(level))
-    return blocks
+    """Minimal hand-checkable family: level 1 holds the bare chain origin, and
+    ``AssembledVector`` fills the other levels with zero blocks."""
+    return {1: CoefficientBlock(level=1, coeffs={0: ONE})}
 
 
 def _gaussian_integers(max_part: int) -> list[tuple[int, int]]:
@@ -175,9 +175,10 @@ def dense_family_blocks(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
     """Slot the enumerated vectors into strictly increasing admissible levels.
 
     A vector with support radius R and max modulus M goes to the next free
-    level s with 2^s >= R and budget(s) >= M; unclaimed levels get the zero
-    block.  The first enumerated vector is the bare chain origin, so level 1
-    always carries a positive-real coefficient.
+    level s with 2^s >= R and budget(s) >= M, up to ``budgets.max_level``.
+    Only the claimed levels are returned; ``AssembledVector`` fills the rest
+    with zero blocks.  The first enumerated vector is the bare chain origin,
+    so level 1 always carries a positive-real coefficient.
     """
     blocks: dict[int, CoefficientBlock] = {}
     previous = 0
@@ -189,11 +190,8 @@ def dense_family_blocks(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
             level += 1
         if level > budgets.max_level:
             break
-        blocks[level] = CoefficientBlock(level=level, coeffs=coeffs,
-                                         bound=budgets.budget(level))
+        blocks[level] = CoefficientBlock(level=level, coeffs=coeffs)
         previous = level
-    for level in range(1, budgets.max_level + 1):
-        blocks.setdefault(level, zero_block(level, budgets.budget(level)))
     return blocks
 
 
@@ -209,6 +207,7 @@ class AssembledVector:
         cross level: 2^(t+1+p) - 2^s - 2^t > 2^(t+1)(2^p - 1) >= 2d + 1.
 
     ``dyadic.verify_separation`` checks the same spacing member by member.
+    Every level in 1..max_level that ``blocks`` leaves out gets the zero block.
     """
 
     def __init__(self, params: SeparationParams, op: ShiftOperator,
@@ -219,18 +218,13 @@ class AssembledVector:
         self.op = op
         self.budgets = budgets
         self.max_level = budgets.max_level
-        table: dict[int, CoefficientBlock] = {}
         for level, block in blocks.items():
             if not 1 <= level <= self.max_level:
                 raise ValueError(f"block level {level} outside 1..{self.max_level}")
             if block.level != level:
                 raise ValueError("block level mismatch")
-            if block.bound > budgets.budget(level):
-                raise ValueError(f"block bound at level {level} exceeds budget")
-            table[level] = block
-        for level in range(1, self.max_level + 1):
-            table.setdefault(level, zero_block(level, budgets.budget(level)))
-        self.blocks = dict(sorted(table.items()))
+        self.blocks = {level: blocks[level] if level in blocks else zero_block(level)
+                       for level in range(1, self.max_level + 1)}
 
         # hot-path data for coefficient lookups: (level, modulus, radius, coeffs)
         self._lookup = tuple(
@@ -498,12 +492,16 @@ class CheckpointRow:
     predicted: Fraction
 
 
+# checkpoints the separation flag reads; earlier ones predate the oscillation
+TAIL_ROWS = 6
+
+
 @dataclass(frozen=True)
 class DensityExperiment:
     """Exact return-set ratios at checkpoints, split by checkpoint class.
 
-    The separation flag is judged on the last ``tail_window`` rows only;
-    early checkpoints predate the oscillation settling in.
+    The separation flag is judged on the last six rows (``TAIL_ROWS``; all
+    rows if fewer), and ``tail_window`` is the number it read.
     """
 
     rows: tuple[CheckpointRow, ...]
@@ -537,31 +535,28 @@ def fraction_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator, "float": float(value)}
 
 
-def density_experiment(av: AssembledVector, schedule: Checkpoints,
-                       tail_window: int | None = None) -> DensityExperiment:
+def density_experiment(av: AssembledVector, schedule: Checkpoints) -> DensityExperiment:
     """Exact per-checkpoint return-set ratios with the predicted class limits.
 
     The separation flag records whether every class-2 ratio strictly exceeds
-    every class-1 ratio over the last ``tail_window`` checkpoints (default:
-    the whole schedule, so pass the tested tail explicitly or set a window).
+    every class-1 ratio over the last ``TAIL_ROWS`` checkpoints.
     """
     lower, upper = predicted_density_limits(av)
-    report = density_ratios(lambda n: checkpoint_count(av, n), schedule.horizons,
-                            tail_window)
+    report = density_ratios(lambda n: checkpoint_count(av, n), schedule.horizons)
     rows = tuple(
         CheckpointRow(position=position, exponent=exponent, horizon=horizon,
                       label=label, count=count, ratio=ratio,
                       predicted=lower if label == CLASS1 else upper)
         for (position, exponent, horizon, label), count, ratio
         in zip(schedule.rows(), report.counts, report.ratios))
-    tail = rows[-report.tail_window:]
+    tail = rows[-TAIL_ROWS:]
     class1 = [row.ratio for row in tail if row.label == CLASS1]
     class2 = [row.ratio for row in tail if row.label == CLASS2]
     separation = bool(class1 and class2 and max(class1) < min(class2))
     return DensityExperiment(rows=rows, hit_counts=av.hit_counts(),
                              predicted_lower=lower, predicted_upper=upper,
                              separation_flag=separation,
-                             tail_window=report.tail_window)
+                             tail_window=len(tail))
 
 
 def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,

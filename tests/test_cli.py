@@ -1,12 +1,14 @@
 import hashlib
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from orbitdensity import cli, dyadic
-from orbitdensity.cli import load_config_file, main
+from orbitdensity import vector as vector_module
+from orbitdensity.cli import RunConfig, load_config_file, main
 from orbitdensity.scalars import IMAG_UNIT
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +68,22 @@ class TestSets:
                             "7 checkpoints 256..8388608 that hold sites")
         assert lines[11] == "sets: level 12 has no site up to 8388608"
         assert not any("[0," in line for line in lines)
+
+    def test_counts_each_site_set_once(self, tmp_path, monkeypatch):
+        real = cli.count_sites
+        calls = []
+
+        def counting(params, level, horizon):
+            calls.append((level, horizon))
+            return real(params, level, horizon)
+
+        monkeypatch.setattr(cli, "count_sites", counting)
+        assert run(["sets", "--smax", "3", "--checkpoints", "5",
+                    "--out", str(tmp_path / "out")]) == 0
+        horizons = dyadic.checkpoint_schedule(dyadic.SeparationParams.with_min_p(1),
+                                              5).horizons
+        assert sorted(calls) == sorted((level, n) for level in (1, 2, 3)
+                                       for n in horizons)
 
 
 class TestVerify:
@@ -136,12 +154,29 @@ class TestOrbitCommand:
 
     def test_identity_mismatch_fails(self, tmp_path, capsys, monkeypatch):
         # a decomposition count off by one at a single scanned checkpoint
-        real = cli.checkpoint_count
-        monkeypatch.setattr(cli, "checkpoint_count",
+        real = vector_module.checkpoint_count
+        monkeypatch.setattr(vector_module, "checkpoint_count",
                             lambda av, horizon: real(av, horizon) + (horizon == 2 ** 11))
         assert run(["orbit", "--series-horizon", "1024",
                     "--out", str(tmp_path / "out")]) == 1
         assert "identity=FAIL" in capsys.readouterr().out
+
+    def test_identity_scans_first_checkpoint_above_cap(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # at d = 20000 the first checkpoint, 2^21, lies above the 2^18 scan cap;
+        # the identity must still compare it rather than pass on no checkpoint
+        first = dyadic.checkpoint_schedule(dyadic.SeparationParams.with_min_p(20000),
+                                           2).horizons[0]
+        assert first == 2 ** 21
+        real = vector_module.checkpoint_count
+        monkeypatch.setattr(vector_module, "checkpoint_count",
+                            lambda av, horizon: real(av, horizon) + (horizon == first))
+        out = tmp_path / "out"
+        assert run(["orbit", "--d", "20000", "--series-horizon", "1024",
+                    "--out", str(out)]) == 1
+        assert "identity=FAIL" in capsys.readouterr().out
+        rows = (out / "orbit_density.csv").read_text().splitlines()
+        assert rows[1].split(",")[2] == str(first)
 
 
     def test_cross_check_mismatch_fails(self, tmp_path, capsys, monkeypatch):
@@ -165,6 +200,24 @@ class TestConfigMerging:
         assert run(["vector", "--config", str(config), "--out", str(out)]) == 0
         payload = json.loads((out / "vector_report.json").read_text())
         assert payload["family"] == "enumerated"
+
+    def test_config_file_values_take_field_types(self, tmp_path):
+        # one valid value per RunConfig field, each parsed to its annotated type
+        lines = {"omega": "5/2", "space": "lp:3", "d": "2", "p_override": "3",
+                 "smax": "4", "checkpoints": "5", "horizon": "4096",
+                 "series_horizon": "1024", "tail_tol": "1e-9",
+                 "family": "enumerated", "out": "results", "seed": "7"}
+        types = {"omega": str, "space": str, "d": int, "p_override": int,
+                 "smax": int, "checkpoints": int, "horizon": int,
+                 "series_horizon": int, "tail_tol": float, "family": str,
+                 "out": str, "seed": int}
+        assert set(lines) == {f.name for f in fields(RunConfig)}
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key}={value}\n" for key, value in lines.items()))
+        values = load_config_file(config)
+        assert {key: type(value) for key, value in values.items()} == types
+        assert values["tail_tol"] == 1e-9 and values["p_override"] == 3
+        RunConfig(**values)
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -50,12 +50,12 @@ class TestCountUpTo:
     def test_empty(self):
         report = density_ratios(lambda n: 0, [1, 100])
         assert report.counts == (0, 0)
-        assert report.running_max == 0
+        assert report.ratios == (0, 0)
 
     def test_full(self):
         report = density_ratios(all_integers, [1, 100])
         assert report.counts == (1, 100)
-        assert report.running_min == 1
+        assert report.ratios == (1, 1)
 
     def test_level1_sites_at_64(self, params):
         assert count_sites(params, 1, 64) == 1
@@ -94,10 +94,15 @@ class TestDensityRatios:
                                             report.ratios):
             assert ratio == Fraction(count, checkpoint)
 
-    def test_tail_window(self):
-        report = density_ratios(evens, [2, 10, 100], tail_window=2)
-        assert report.tail_window == 2
-        assert report.running_min == report.running_max == Fraction(1, 2)
+    def test_counts_each_checkpoint_once(self):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return evens(n)
+
+        density_ratios(counting, [2, 10, 100])
+        assert calls == [2, 10, 100]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

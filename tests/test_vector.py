@@ -7,6 +7,7 @@ from orbitdensity import (
     AssembledVector,
     CoefficientBlock,
     GaussianRational,
+    LevelBudgets,
     SeparationParams,
     SeriesOracle,
     ShiftOperator,
@@ -40,6 +41,13 @@ def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
 
 
+def separated(rows):
+    """Every class-2 ratio strictly above every class-1 ratio among ``rows``."""
+    class1 = [row.ratio for row in rows if row.label == dyadic.CLASS1]
+    class2 = [row.ratio for row in rows if row.label == dyadic.CLASS2]
+    return bool(class1 and class2 and max(class1) < min(class2))
+
+
 def family_blocks(family, budgets):
     """A named family; ``hand-built`` mixes signs and places offsets at the
     radius, and its level 2 has no coefficient with positive real part."""
@@ -55,8 +63,7 @@ def family_blocks(family, budgets):
         4: {-16: gr(Fraction(1, 3), 3)},
     }
     for level, coeffs in tables.items():
-        blocks[level] = CoefficientBlock(level=level, coeffs=coeffs,
-                                         bound=budgets.budget(level))
+        blocks[level] = CoefficientBlock(level=level, coeffs=coeffs)
     return blocks
 
 
@@ -67,7 +74,6 @@ def mixed_av(params, op, budgets):
     blocks[1] = CoefficientBlock(
         level=1,
         coeffs={-1: gr(Fraction(-1, 2)), 0: ONE, 1: gr(Fraction(1, 2))},
-        bound=budgets.budget(1),
     )
     return AssembledVector(params, op, budgets, blocks)
 
@@ -80,6 +86,7 @@ class TestBudgets:
 
     def test_budget_values(self, budgets):
         assert [budgets.budget(s) for s in (1, 2, 5)] == [1, 2, 5]
+        assert [LevelBudgets.budget(s) for s in (1, 2, 5)] == [1, 2, 5]
 
     def test_stabilization_guard(self, op):
         # the series tail is bounded in closed form, so every level count builds
@@ -92,25 +99,30 @@ class TestBudgets:
 
 class TestCoefficientBlock:
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
-            CoefficientBlock(level=1, coeffs={0: gr(2)}, bound=Fraction(1))
+        # the block checks |a| <= c(level) = level when it is built
+        with pytest.raises(ValueError, match="exceeds budget"):
+            CoefficientBlock(level=1, coeffs={0: gr(2)})
+        with pytest.raises(ValueError, match="exceeds budget"):
+            CoefficientBlock(level=2, coeffs={0: gr(2, 1)})
+        assert CoefficientBlock(level=2, coeffs={0: gr(2)}).max_abs() == 2.0
+        assert CoefficientBlock(level=2, coeffs={0: gr(0, -2)}).max_abs() == 2.0
 
     def test_radius_enforced(self):
         with pytest.raises(ValueError):
-            CoefficientBlock(level=1, coeffs={3: ONE}, bound=Fraction(1))
+            CoefficientBlock(level=1, coeffs={3: ONE})
 
     def test_positive_count(self):
         block = CoefficientBlock(
             level=2,
             coeffs={-1: gr(Fraction(1, 2)), 0: IMAG_UNIT, 2: gr(-1), 3: gr(1, 1)},
-            bound=Fraction(2),
         )
         assert block.positive_count() == 2
         assert block.positive_offsets() == [-1, 3]
 
     def test_zero_block(self):
-        block = zero_block(3, Fraction(3))
+        block = zero_block(3)
         assert block.is_zero and block.positive_count() == 0
+        assert block.level == 3 and block.radius == 8
 
 
 class TestDenseFamily:
@@ -128,12 +140,24 @@ class TestDenseFamily:
         blocks = dense_family_blocks(budgets)
         assert any(blocks[s].positive_count() for s in (1, 2, 3))
 
-    def test_all_levels_filled(self, budgets):
+    def test_all_levels_filled(self, budgets, enumerated_av):
+        # the assembly holds a block at every level, the family's own ones included
         blocks = dense_family_blocks(budgets)
-        assert sorted(blocks) == list(range(1, 7))
-        for level, block in blocks.items():
+        assert list(enumerated_av.blocks) == list(range(1, 7))
+        for level, block in enumerated_av.blocks.items():
             assert block.level == level
             assert block.radius == 2 ** level
+            assert block.coeffs == blocks[level].coeffs
+
+    def test_families_return_only_placed_levels(self, budgets, one_block_av):
+        assert list(one_block_family(budgets)) == [1]
+        placed = dense_family_blocks(budgets)
+        assert set(placed) <= set(range(1, 7))
+        assert not any(block.is_zero for block in placed.values())
+        # the assembly fills every level the family left out with the zero block
+        assert list(one_block_av.blocks) == list(range(1, 7))
+        assert all(one_block_av.blocks[level].is_zero for level in range(2, 7))
+        assert one_block_av.active_levels == [1]
 
     def test_budget_respected(self, budgets):
         for level, block in dense_family_blocks(budgets).items():
@@ -375,10 +399,10 @@ class TestPredictedLimits:
             assert upper / lower == Fraction(10, 9)
 
     def test_all_zero_family_rejected(self, params, op, budgets):
-        blocks = {s: zero_block(s, budgets.budget(s)) for s in range(1, 7)}
-        av = AssembledVector(params, op, budgets, blocks)
-        with pytest.raises(ValueError):
-            predicted_density_limits(av)
+        for blocks in ({s: zero_block(s) for s in range(1, 7)}, {}):
+            av = AssembledVector(params, op, budgets, blocks)
+            with pytest.raises(ValueError):
+                predicted_density_limits(av)
 
 
 class TestApproachBound:
@@ -459,12 +483,32 @@ class TestDensityExperiment:
         assert not experiment.separation_flag  # oscillation needs the tail
 
     def test_tail_window_restores_separation(self, one_block_av):
+        # over all nine rows the classes overlap; over the last six they do not
         schedule = checkpoint_schedule(one_block_av.params, 9)
-        full = density_experiment(one_block_av, schedule)
-        tail = density_experiment(one_block_av, schedule, tail_window=6)
-        assert not full.separation_flag
-        assert tail.separation_flag
-        assert tail.tail_window == 6
+        experiment = density_experiment(one_block_av, schedule)
+        assert not separated(experiment.rows)
+        assert separated(experiment.rows[-6:])
+        assert experiment.separation_flag
+        assert experiment.tail_window == 6
+
+    @pytest.mark.parametrize("checkpoints, window", [(5, 5), (9, 6), (12, 6)])
+    def test_flag_reads_last_six_rows(self, one_block_av, monkeypatch,
+                                      checkpoints, window):
+        schedule = checkpoint_schedule(one_block_av.params, checkpoints)
+        experiment = density_experiment(one_block_av, schedule)
+        assert experiment.tail_window == window
+        assert experiment.separation_flag == separated(experiment.rows[-window:])
+        # a class-1 ratio of 1 breaks separation exactly when the flag reads its row
+        real = vector_module.checkpoint_count
+        for position, row in enumerate(experiment.rows):
+            if row.label != dyadic.CLASS1:
+                continue
+            monkeypatch.setattr(
+                vector_module, "checkpoint_count",
+                lambda av, n, _h=row.horizon: n if n == _h else real(av, n))
+            planted = density_experiment(one_block_av, schedule)
+            inside = position >= len(experiment.rows) - window
+            assert planted.separation_flag == (experiment.separation_flag and not inside)
 
     def test_exact_counts(self, one_block_av):
         schedule = checkpoint_schedule(one_block_av.params, 5)
@@ -500,8 +544,10 @@ class TestAssembly:
                             one_block_family(budgets))
 
     def test_rejects_overweight_block(self, params, op, budgets):
+        # a block within budget at level 2 is over budget at level 1: the
+        # level check keeps it out of that slot
         blocks = one_block_family(budgets)
-        blocks[1] = CoefficientBlock(level=1, coeffs={0: gr(2)}, bound=Fraction(2))
+        blocks[1] = CoefficientBlock(level=2, coeffs={0: gr(2)})
         with pytest.raises(ValueError):
             AssembledVector(params, op, budgets, blocks)
 

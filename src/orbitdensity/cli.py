@@ -39,6 +39,8 @@ from .vector import (
 )
 
 ENV_PREFIX = "ORBITDENSITY_"
+FAMILIES = ("one-block", "enumerated")
+FACT0_RANGE = (0, 12, 65)  # fact0's default a_lo, a_hi, b_max
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class RunConfig:
     horizon: int = 2 ** 23
     series_horizon: int = 2 ** 14
     tail_tol: float = 1e-12
-    family: str = "one-block"
+    family: str = FAMILIES[0]
     out: str = "out"
     seed: int = 0
 
@@ -65,13 +67,13 @@ class RunConfig:
             raise ValueError("checkpoints must be >= 2 (one per checkpoint class)")
         if not (math.isfinite(self.tail_tol) and self.tail_tol > 0):
             raise ValueError("tail_tol must be finite and > 0")
-        if self.family not in ("one-block", "enumerated"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         first = checkpoint_schedule(self.params(), 1).horizons[0]
         if self.horizon < first:
             raise ValueError(f"horizon must be >= {first}, the first checkpoint")
-        # build_level_budgets reads the tail constants up to level smax + 1
-        tail_constant(self.operator(), self.smax + 1)
+        # build_level_budgets reads the tail constants of levels 1..smax
+        tail_constant(self.operator(), self.smax)
 
     def params(self) -> SeparationParams:
         if self.p_override is not None:
@@ -256,8 +258,8 @@ def cmd_vector(config: RunConfig) -> int:
         "r_values": {str(level): count for level, count in hit_counts.items()},
         "predicted_lower": vec.fraction_json(lower),
         "predicted_upper": vec.fraction_json(upper),
-        "tail_constants": {str(s): tail_constant(av.op, s)
-                           for s in range(1, config.smax + 1)},
+        "tail_constants": {str(s): eps
+                           for s, eps in enumerate(av.budgets.tail_constants, 1)},
         "budget_partials": list(av.budgets.weighted_partials),
         "approach_checks": approach,
     }
@@ -297,7 +299,7 @@ def cmd_orbit(config: RunConfig) -> int:
 
 def cmd_all(config: RunConfig) -> int:
     _build_vector(config)  # a bad vector config exits 2 before any stage writes
-    return max(cmd_fact0(config, 0, 12, 65), cmd_sets(config), cmd_verify(config),
+    return max(cmd_fact0(config, *FACT0_RANGE), cmd_sets(config), cmd_verify(config),
                cmd_vector(config), cmd_orbit(config))
 
 
@@ -324,8 +326,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tail-tol", dest="tail_tol", type=float,
                         help="validated (finite, > 0) and accepted, but read by "
                              "no check (default 1e-12)")
-    parser.add_argument("--family", choices=["one-block", "enumerated"],
-                        help="coefficient family (default one-block)")
+    parser.add_argument("--family", choices=FAMILIES,
+                        help=f"coefficient family (default {FAMILIES[0]})")
     parser.add_argument("--out", help="output directory (default out)")
     parser.add_argument("--seed", type=int, help="seed for sampled sweeps")
 
@@ -338,9 +340,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fact0 = sub.add_parser("fact0", help="selected-scale mass table and checks")
-    fact0.add_argument("--a-min", type=int, default=0)
-    fact0.add_argument("--a-max", type=int, default=12)
-    fact0.add_argument("--b-max", type=int, default=65)
+    for flag, default in zip(("--a-min", "--a-max", "--b-max"), FACT0_RANGE):
+        fact0.add_argument(flag, type=int, default=default)
     _add_common(fact0)
 
     for name, help_text in [

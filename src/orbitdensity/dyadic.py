@@ -315,39 +315,28 @@ def _report(check: str, params: SeparationParams, range_: dict,
 
 def verify_separation(params: SeparationParams, max_level: int,
                       horizon: int) -> CheckReport:
-    """Exhaustive spacing checks on all site-set members <= horizon.
-
-    Checks, in order: members of one level are at least 2^(level+1)+2d+1
-    apart; members of distinct levels are at least
-    2^(max(level,level')+1)+2d+1 apart.  Stops at the first violation.  No
-    floor check is needed: every level-s site lies in a strip of scale
-    >= 2s+p+2, so it is >= 2^(2s+p+2) > 2^(s+1).
-
-    Once same-level gaps hold, the cross-level condition needs only the
-    neighbours in the merged order of all levels: for members x < z of levels
-    l, l', x's successor lies at least 2^(l+1)+2d+1 above x and z's
-    predecessor at least 2^(l'+1)+2d+1 below z.
+    """Members <= horizon of levels l, l' (l = l' too) are at least
+    2^(max(l,l')+1)+2d+1 apart; only neighbours in the merged order of all
+    levels need comparing, as a wider pair spans one neighbouring gap on each
+    side.  Stops at the first violation, so a too-close same-level pair that
+    straddles another level's member shows as a ``cross_level_gap``.  Every
+    level-s site is >= 2^(2s+p+2) > 2^(s+1), so no floor check is needed.
     """
     if max_level < 1 or horizon < 1:
         raise ValueError("max_level and horizon must be >= 1")
     range_ = {"max_level": max_level, "horizon": horizon}
-    members = {level: site_members(params, level, horizon)
-               for level in range(1, max_level + 1)}
-    need = {level: 2 ** (level + 1) + 2 * params.d + 1 for level in members}
-
-    for level, mem in members.items():
-        for a, b in pairwise(mem):
-            if b - a < need[level]:
-                return _report("separation", params, range_, {
-                    "condition": "same_level_gap", "level": level,
-                    "i": a, "i_prime": b, "gap": b - a, "required": need[level]})
-
-    merged = sorted((n, level) for level, mem in members.items() for n in mem)
+    need = {level: 2 ** (level + 1) + 2 * params.d + 1
+            for level in range(1, max_level + 1)}
+    merged = sorted((n, level) for level in need
+                    for n in site_members(params, level, horizon))
     for (n1, l1), (n2, l2) in pairwise(merged):
-        if l1 != l2 and n2 - n1 < need[max(l1, l2)]:
+        gap = n2 - n1
+        if gap < need[l1] or gap < need[l2]:
+            where = ({"condition": "same_level_gap", "level": l1} if l1 == l2 else
+                     {"condition": "cross_level_gap", "levels": [l1, l2]})
             return _report("separation", params, range_, {
-                "condition": "cross_level_gap", "levels": [l1, l2], "i": n1,
-                "i_prime": n2, "gap": n2 - n1, "required": need[max(l1, l2)]})
+                **where, "i": n1, "i_prime": n2, "gap": gap,
+                "required": need[max(l1, l2)]})
     return _report("separation", params, range_)
 
 

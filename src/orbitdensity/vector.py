@@ -40,18 +40,20 @@ from .shift import ShiftOperator, tail_constant, vector_norm
 
 @dataclass(frozen=True)
 class LevelBudgets:
-    """Per-level coefficient budgets c(s) = s with their weighted partial sums.
+    """Budgets c(s) = s and the tail constants eps(1..max_level), each computed
+    once.  For every w > 1 eps falls doubly exponentially, so c(s) -> infinity,
+    eps(s) * sum_{s'<s} c(s') -> 0 and sum c(s) * eps(s) converges."""
 
-    The budgets must grow without bound, must shrink against the tail
-    constants in the sense that eps(s) * sum_{s'<s} c(s') -> 0, and the
-    weighted series sum c(s) * eps(s) must converge.  With the shift's
-    doubly exponential eps decay all three hold for every weight w > 1 and
-    every ``max_level``; ``approach_bound`` bounds the series' infinite tail
-    in closed form.
-    """
+    tail_constants: tuple[float, ...]  # eps(1), ..., eps(max_level)
 
-    max_level: int
-    weighted_partials: tuple[float, ...]  # partial sums of c(s) * eps(s)
+    @property
+    def max_level(self) -> int:
+        return len(self.tail_constants)
+
+    @property
+    def weighted_partials(self) -> tuple[float, ...]:  # partial sums of c(s) * eps(s)
+        return tuple(itertools.accumulate(
+            s * eps for s, eps in enumerate(self.tail_constants, 1)))
 
     @staticmethod
     def budget(level: int) -> Fraction:
@@ -61,19 +63,10 @@ class LevelBudgets:
 
 
 def build_level_budgets(op: ShiftOperator, max_level: int) -> LevelBudgets:
-    """Budgets c(s) = s with their weighted partial sums against the operator."""
+    """Budgets c(s) = s with the operator's tail constants eps(1..max_level)."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    eps = [tail_constant(op, s) for s in range(1, max_level + 2)]
-    for s in range(len(eps) - 1):
-        if eps[s + 1] > 2.0 * eps[s] ** 2:
-            raise ValueError("tail constants do not decay doubly exponentially")
-    partials = []
-    total = 0.0
-    for s in range(1, max_level + 1):
-        total += s * eps[s - 1]
-        partials.append(total)
-    return LevelBudgets(max_level=max_level, weighted_partials=tuple(partials))
+    return LevelBudgets(tuple(tail_constant(op, s) for s in range(1, max_level + 1)))
 
 
 @dataclass(frozen=True)
@@ -431,30 +424,21 @@ def approach_bound(av: AssembledVector, level: int) -> float:
     """Bound on the distance from the n-step orbit point to the level's block
     vector, for n in the level's site set:
 
-        (sum_{s < level} c(s)) * eps(level) + sum_{s >= level} c(s) * eps(s).
+        (sum_{s < level} c(s)) * eps(level) + sum_{level <= s <= max_level} c(s) * eps(s).
 
-    The tail terms t(s) = c(s) * eps(s) = s * eps(s) obey
-    t(s+1) <= r(s) * t(s) with r(s) = 2 * w^(-2^s), which falls with s, so
-    once r(S) < 1 everything from S on is at most t(S) / (1 - r(S)).  The
-    terms are summed up to the first such S whose remainder bound is
-    negligible in floating point, and that bound is added.
+    Levels above ``max_level`` carry no block, so their terms bound a zero
+    vector.  The terms are summed directly: differences of
+    ``weighted_partials`` would cancel the small ones to 0.0.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    op = av.op
-    head = sum(float(av.budgets.budget(s)) for s in range(1, level)) \
-        * tail_constant(op, level)
+    budgets = av.budgets
+    if not 1 <= level <= budgets.max_level:
+        raise ValueError(f"level must lie in 1..{budgets.max_level}")
+    eps = budgets.tail_constants
+    head = sum(float(budgets.budget(s)) for s in range(1, level)) * eps[level - 1]
     tail = 0.0
-    s = level
-    while True:
-        term = float(av.budgets.budget(s)) * tail_constant(op, s)
-        ratio = 2.0 * op.weight_float ** -(2 ** s)
-        if ratio < 1.0:
-            remainder = term / (1.0 - ratio)
-            if tail + remainder == tail:
-                return head + tail + remainder
-        tail += term
-        s += 1
+    for s in range(level, budgets.max_level + 1):
+        tail += float(budgets.budget(s)) * eps[s - 1]
+    return head + tail
 
 
 def verify_orbit_approach(av: AssembledVector, level: int, n: int,
@@ -463,7 +447,7 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
 
     ``n`` must lie in the level's site set.  The difference vector has
     coordinates (b(n+m) - a(-m)) * w^(-m); its certified norm (value plus
-    tail) must stay within the closed-form bound plus ``tail_tol``.
+    tail) must stay within ``approach_bound`` plus ``tail_tol``.
     """
     params = av.params
     if not in_site_set(params, level, n):

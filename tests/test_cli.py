@@ -270,6 +270,12 @@ class TestInvalidConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_smax_float_range_edge(self):
+        # the last level read is smax itself: eps(1023) underflows to 0.0
+        assert RunConfig(smax=1023).smax == 1023
+        with pytest.raises(ValueError):
+            RunConfig(smax=1024)
+
     @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach", "smax=1030",
                                       "p_override=0"])
     def test_config_file_value_checked_before_any_stage(self, tmp_path, line):

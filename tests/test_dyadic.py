@@ -324,7 +324,10 @@ class TestVerifySeparation:
         ({1: [100, 300], 2: [], 3: [110]}, ([1, 3], 100, 110, 19)),
         ({1: [100, 200], 2: [205], 3: []}, ([1, 2], 200, 205, 11)),
         ({1: [100, 300], 2: [], 3: [200]}, None),
-    ], ids=["above", "below", "levels-1-2", "clear"])
+        # a too-close level-1 pair straddling a level-2 member: the first
+        # neighbouring pair in the merged order is the cross-level one
+        ({1: [100, 104], 2: [102], 3: []}, ([1, 2], 100, 102, 11)),
+    ], ids=["above", "below", "levels-1-2", "clear", "straddled-same-level"])
     def test_cross_level_gap(self, params, monkeypatch, planted, violation):
         monkeypatch.setattr(dyadic, "site_members",
                             lambda _params, level, _horizon: planted[level])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -89,12 +90,20 @@ class TestBudgets:
         assert [LevelBudgets.budget(s) for s in (1, 2, 5)] == [1, 2, 5]
 
     def test_stabilization_guard(self, op):
-        # the series tail is bounded in closed form, so every level count builds
+        # the bound sums the assembled levels only, so every level count builds
         for max_level in range(1, 6):
             budgets = build_level_budgets(op, max_level)
             assert len(budgets.weighted_partials) == max_level
         with pytest.raises(ValueError):
             build_level_budgets(op, 0)
+
+    def test_float_range_edge(self, op):
+        # eps(1023) underflows to 0.0; 2^1024 itself exceeds the float range
+        budgets = build_level_budgets(op, 1023)
+        assert budgets.max_level == 1023
+        assert budgets.tail_constants[-1] == 0.0
+        with pytest.raises(ValueError):
+            build_level_budgets(op, 1024)
 
 
 class TestCoefficientBlock:
@@ -416,12 +425,17 @@ class TestApproachBound:
         assert approach_bound(one_block_av, 2) == pytest.approx(expected, rel=1e-12)
 
     def test_slow_weight_tail(self, params):
-        # at w = 1001/1000 the terms s * eps(s) grow up to s = 8 and r(s) >= 1 up to s = 9
+        # at w = 1001/1000 the terms s * eps(s) still grow past smax = 2, and
+        # the levels above smax, which carry no block, add nothing
         op = ShiftOperator(weight=Fraction(1001, 1000))
         budgets = build_level_budgets(op, 2)
         av = AssembledVector(params, op, budgets, one_block_family(budgets))
-        expected = sum(s * tail_constant(op, s) for s in range(1, 200))
-        assert approach_bound(av, 1) == pytest.approx(expected, rel=1e-12)
+        assert approach_bound(av, 1) == 1 * tail_constant(op, 1) + 2 * tail_constant(op, 2)
+
+    def test_rejects_level_outside_assembly(self, one_block_av):
+        for level in (0, one_block_av.max_level + 1):
+            with pytest.raises(ValueError):
+                approach_bound(one_block_av, level)
 
     def test_vanishes_with_level(self, one_block_av):
         bounds = [approach_bound(one_block_av, r) for r in range(1, 7)]
@@ -447,6 +461,19 @@ class TestOrbitApproach:
     def test_rejects_non_site(self, one_block_av):
         with pytest.raises(ValueError):
             verify_orbit_approach(one_block_av, 1, 41)
+
+    @pytest.mark.parametrize("space", [2.0, math.inf, 3.0], ids=["l2", "c0", "lp3"])
+    @pytest.mark.parametrize("family", ["one-block", "enumerated"])
+    def test_slow_weight(self, params, space, family):
+        # at w = 11/10 the levels above smax = 6 would add 3e-5 to 9e-5 to the
+        # bound at every level; the orbit points still meet the finite sum
+        op = ShiftOperator(weight=Fraction(11, 10), space_exponent=space)
+        budgets = build_level_budgets(op, 6)
+        av = AssembledVector(params, op, budgets, family_blocks(family, budgets))
+        rng = random.Random(5)
+        for level in range(1, 5):
+            for n in rng.sample(site_members(params, level, 2 ** 16), 3):
+                assert verify_orbit_approach(av, level, n)
 
     def test_per_level_mass(self, enumerated_av, op):
         # the full level-s layer alone obeys budget * tail_constant

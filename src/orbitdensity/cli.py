@@ -112,8 +112,12 @@ def _parse_space(text: str) -> float:
 _PARSERS = {"int": int, "int | None": int, "float": float}
 
 
-def _coerce(field: Field, raw: str):
-    return _PARSERS.get(field.type, str)(raw)
+def _coerce(field: Field, raw: str, where: str):
+    """Parse ``raw`` for ``field``; a bad value names ``where`` it came from."""
+    try:
+        return _PARSERS.get(field.type, str)(raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -130,16 +134,16 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(known[key], raw.strip())
+        values[key] = _coerce(known[key], raw.strip(), f"{path}:{lineno}: {key}")
     return values
 
 
 def _env_overrides() -> dict:
     values: dict = {}
     for f in fields(RunConfig):
-        raw = os.environ.get(ENV_PREFIX + f.name.upper())
-        if raw is not None:
-            values[f.name] = _coerce(f, raw)
+        name = ENV_PREFIX + f.name.upper()
+        if name in os.environ:
+            values[f.name] = _coerce(f, os.environ[name], name)
     return values
 
 
@@ -236,8 +240,13 @@ def cmd_vector(config: RunConfig) -> int:
     av = _build_vector(config)
     out = _out_dir(config)
     rng = random.Random(config.seed)
-    hit_counts = {level: site_hit_count(av, level, verify=True)
-                  for level in range(1, config.smax + 1)}
+    hit_counts = av.hit_counts()
+    hit_failures = []
+    for level in hit_counts:
+        try:
+            site_hit_count(av, level, verify=True)
+        except RuntimeError:
+            hit_failures.append(level)
     lower, upper = vec.predicted_density_limits(av)
 
     approach = []
@@ -266,8 +275,9 @@ def cmd_vector(config: RunConfig) -> int:
     _write_json(out / "vector_report.json", payload)
     ok = all(entry["pass"] for entry in approach)
     print(f"vector: family={config.family} r={hit_counts} "
-          f"approach={'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+          f"approach={'pass' if ok else 'FAIL'} "
+          f"hits={f'FAIL at levels {hit_failures}' if hit_failures else 'pass'}")
+    return 0 if ok and not hit_failures else 1
 
 
 def cmd_orbit(config: RunConfig) -> int:

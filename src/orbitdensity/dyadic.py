@@ -20,15 +20,21 @@ normalized partial sums converge to different rational limits (denominator
 oscillates forever between two distinct values along the checkpoint
 horizons 2^(q+1).
 
+A level's sites are walked two ways: ``_site_ranges`` yields each selected
+strip's ``strip_sites`` range (behind ``site_members`` and ``count_sites``),
+and ``aligned_sites`` puts each aligned multiple of the modulus in a window to
+the modular test ``in_site_set``, touching no site list.
+
 Everything here is exact integer/rational arithmetic; per-scale counts use
 closed-form range arithmetic so horizons near 2^33 stay cheap.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import pairwise, repeat
 from typing import Iterator, Optional
 
 SCALE_PERIOD = 5
@@ -162,6 +168,13 @@ def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator
         scale += 1
 
 
+def aligned_sites(params: SeparationParams, level: int, lo: int, hi: int) -> Iterator[int]:
+    """The level's sites in [lo, hi]: each aligned multiple of the modulus put
+    to ``in_site_set``; the modular twin of ``_site_ranges``."""
+    m = params.modulus(level)
+    return (k for k in range(-(-lo // m) * m, hi + 1, m) if in_site_set(params, level, k))
+
+
 def site_members(params: SeparationParams, level: int, horizon: int) -> list[int]:
     """Site set members <= horizon, sorted."""
     out: list[int] = []
@@ -242,13 +255,6 @@ class Checkpoints:
     def classes(self) -> tuple[str, ...]:
         return tuple(_class_label(q) for q in self.exponents)
 
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def rows(self) -> list[tuple[int, int, int, str]]:
-        return [(l + 1, q, n, c) for l, (q, n, c) in
-                enumerate(zip(self.exponents, self.horizons, self.classes))]
-
 
 def _class_label(q: int) -> str:
     return CLASS1 if q % SCALE_PERIOD == 0 else CLASS2
@@ -327,8 +333,8 @@ def verify_separation(params: SeparationParams, max_level: int,
     range_ = {"max_level": max_level, "horizon": horizon}
     need = {level: 2 ** (level + 1) + 2 * params.d + 1
             for level in range(1, max_level + 1)}
-    merged = sorted((n, level) for level in need
-                    for n in site_members(params, level, horizon))
+    merged = heapq.merge(*(zip(site_members(params, level, horizon), repeat(level))
+                           for level in need))
     for (n1, l1), (n2, l2) in pairwise(merged):
         gap = n2 - n1
         if gap < need[l1] or gap < need[l2]:
@@ -342,21 +348,19 @@ def verify_separation(params: SeparationParams, max_level: int,
 
 def verify_checkpoint_gap(params: SeparationParams, max_level: int,
                           count: int) -> CheckReport:
-    """No site of any level within 2^level + d of a checkpoint H: every aligned
-    multiple in the open window (H - 2^level - d, H + 2^level + d) is put to
-    ``in_site_set``, and a violation reports the nearest site found, which is
-    the exact distance from H to the site set."""
+    """No site of any level within 2^level + d of a checkpoint H: the window
+    (H - 2^level - d, H + 2^level + d) is walked by ``aligned_sites``, and a
+    violation reports the nearest site found, which is the exact distance
+    from H to the site set."""
     if max_level < 1 or count < 1:
         raise ValueError("max_level and count must be >= 1")
     schedule = checkpoint_schedule(params, count)
     range_ = {"max_level": max_level, "checkpoints": count}
     for level in range(1, max_level + 1):
         need = 2 ** level + params.d
-        m = params.modulus(level)
         for q, horizon in zip(schedule.exponents, schedule.horizons):
-            first = -((need - 1 - horizon) // m) * m  # least multiple > horizon - need
-            near = [abs(k - horizon) for k in range(first, horizon + need, m)
-                    if in_site_set(params, level, k)]
+            near = [abs(k - horizon) for k in
+                    aligned_sites(params, level, horizon - need + 1, horizon + need - 1)]
             if near:
                 return _report("checkpoint_gap", params, range_, {
                     "condition": "checkpoint_gap", "level": level, "q": q,
@@ -384,7 +388,7 @@ def verify_mass_bound(params: SeparationParams, max_level: int,
     """Site-set counting ratios at the first ``count`` checkpoints stay under
     the global mass supremum times 2^(-2s-p-1)."""
     schedule = checkpoint_schedule(params, count)
-    range_ = {"max_level": max_level, "checkpoints": len(schedule)}
+    range_ = {"max_level": max_level, "checkpoints": count}
     for level in range(1, max_level + 1):
         cap = MASS_SUP_BOUND * Fraction(1, 2 ** (2 * level + params.p + 1))
         for q, horizon in zip(schedule.exponents, schedule.horizons):
@@ -398,7 +402,9 @@ def verify_mass_bound(params: SeparationParams, max_level: int,
 
 def verify_class_limits(params: SeparationParams, max_level: int) -> CheckReport:
     """Counting ratios at the checkpoints with q in [20, 32] (the first six
-    when none is admissible) within 2% of their class limit."""
+    when none is admissible) within 2% of their class limit.  A checkpoint
+    exponent q is a selected scale, so q mod 5 is its class residue and the
+    limit is ``scale_mass_limit(q mod 5) * 2^(-2s-p-2)``."""
     try:
         schedule = checkpoints_between(params, 20, 32)
     except ValueError:
@@ -406,10 +412,8 @@ def verify_class_limits(params: SeparationParams, max_level: int) -> CheckReport
     range_ = {"max_level": max_level,
               "q_range": [schedule.exponents[0], schedule.exponents[-1]]}
     for level in range(1, max_level + 1):
-        base = Fraction(1, 2 ** (2 * level + params.p + 2))
-        for q, horizon, label in zip(schedule.exponents, schedule.horizons,
-                                     schedule.classes):
-            limit = base * scale_mass_limit(0 if label == CLASS1 else 2)
+        for q, horizon in zip(schedule.exponents, schedule.horizons):
+            limit = scale_mass_limit(q % SCALE_PERIOD) / 2 ** params.min_scale(level)
             ratio = Fraction(count_sites(params, level, horizon), horizon)
             if abs(ratio - limit) > Fraction(2, 100) * limit:
                 return _report("class_limits", params, range_, {

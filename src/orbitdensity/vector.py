@@ -28,6 +28,7 @@ from .dyadic import (
     Checkpoints,
     CLASS1,
     CLASS2,
+    aligned_sites,
     count_sites,
     in_site_set,
     is_checkpoint_horizon,
@@ -99,11 +100,8 @@ class CoefficientBlock:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def positive_count(self) -> int:
-        """Offsets whose coefficient has strictly positive real part."""
-        return sum(1 for a in self.coeffs.values() if a.re > 0)
-
     def positive_offsets(self) -> list[int]:
+        """Offsets whose coefficient has strictly positive real part, sorted."""
         return sorted(j for j, a in self.coeffs.items() if a.re > 0)
 
     def max_abs(self) -> float:
@@ -236,7 +234,8 @@ class AssembledVector:
 
     def hit_counts(self) -> dict[int, int]:
         """Per-level count of offsets with positive real part."""
-        return {level: block.positive_count() for level, block in self.blocks.items()}
+        return {level: len(block.positive_offsets())
+                for level, block in self.blocks.items()}
 
 
 def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
@@ -245,10 +244,9 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
     A placed window of level s around site k has width 2^(s+1)+1, strictly
     less than the level's alignment modulus, so at most one aligned
     candidate per level can cover the index; membership of that candidate in
-    the site set settles it.
+    the site set settles it.  An index <= 1 finds only candidates <= 0,
+    which ``in_site_set`` rejects.
     """
-    if index < 2:
-        return ZERO
     params = av.params
     for level, modulus, radius, coeffs in av._lookup:
         k = index + radius
@@ -308,7 +306,7 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
     block = av.blocks.get(level)
     if block is None:
         raise ValueError(f"no block at level {level}")
-    count = block.positive_count()
+    count = len(block.positive_offsets())
     if verify:
         params = av.params
         k = site_members(params, level, 2 ** (params.min_scale(level) + 4))[0]
@@ -327,7 +325,6 @@ class ReturnSet:
     """Return times into the open half-space, materialized up to a horizon."""
 
     members: tuple[int, ...]
-    horizon: int
 
 
 def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> ReturnSet:
@@ -338,9 +335,9 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     positive offset, 1 <= n <= horizon) whose exact coefficient
     ``expansion_coefficient(av, n)`` has positive real part.  They differ
     only in where the sites come from: ``sites`` takes the ``strip_sites``
-    lists (``site_members``); ``scan`` takes the level's aligned multiples
-    m, 2m, ... and keeps those that pass the modular ``in_site_set`` test,
-    so it never touches the site lists.
+    lists (``site_members``); ``scan`` takes ``aligned_sites``, the level's
+    aligned multiples that pass the modular ``in_site_set`` test, so it never
+    touches the site lists.
 
     The scan equals the per-index scan ``{n : Re b(n) > 0}`` for any block
     contents, with no appeal to separation.  If Re b(n) > 0, then
@@ -355,8 +352,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     params = av.params
     if method == "scan":
         def sites(level: int, limit: int) -> Iterable[int]:
-            m = params.modulus(level)
-            return (k for k in range(m, limit + 1, m) if in_site_set(params, level, k))
+            return aligned_sites(params, level, 1, limit)
     elif method == "sites":
         def sites(level: int, limit: int) -> Iterable[int]:
             return site_members(params, level, limit)
@@ -375,7 +371,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
                     found.append(n)
     found.sort()
     members = tuple(n for n, _ in itertools.groupby(found))
-    return ReturnSet(members=members, horizon=horizon)
+    return ReturnSet(members=members)
 
 
 def checkpoint_count(av: AssembledVector, horizon: int) -> int:
@@ -388,36 +384,23 @@ def checkpoint_count(av: AssembledVector, horizon: int) -> int:
     """
     if not is_checkpoint_horizon(av.params, horizon):
         raise ValueError(f"{horizon} is not a checkpoint horizon for these parameters")
-    total = 0
-    for level, block in av.blocks.items():
-        hits = block.positive_count()
-        if hits:
-            total += hits * count_sites(av.params, level, horizon)
-    return total
+    return sum(hits * count_sites(av.params, level, horizon)
+               for level, hits in av.hit_counts().items() if hits)
 
 
 def predicted_density_limits(av: AssembledVector) -> tuple[Fraction, Fraction]:
     """Exact checkpoint-class density limits (lower from class 1, upper from class 2).
 
-    Each active level contributes hits * limit * 2^(-2s-p-2) with the two
-    selected-scale mass limits; raises when every block is hit-free, since
-    the experiment would then be vacuous.
+    One weight W = sum_s hits_s * 2^(-2s-p-2) per vector times the two
+    selected-scale mass limits, 36/31 and 40/31, so the ratio of the limits
+    is 10/9 for every family.  Raises when every block is hit-free (W = 0),
+    since the experiment would then be vacuous.
     """
-    p = av.params.p
-    lower = Fraction(0)
-    upper = Fraction(0)
-    any_hits = False
-    for level, block in av.blocks.items():
-        hits = block.positive_count()
-        if not hits:
-            continue
-        any_hits = True
-        weight = Fraction(hits, 2 ** (2 * level + p + 2))
-        lower += weight * scale_mass_limit(0)
-        upper += weight * scale_mass_limit(2)
-    if not any_hits:
+    weight = sum(Fraction(hits, 2 ** av.params.min_scale(level))
+                 for level, hits in av.hit_counts().items())
+    if not weight:
         raise ValueError("family has no positive-real coefficients; no return set")
-    return lower, upper
+    return weight * scale_mass_limit(0), weight * scale_mass_limit(2)
 
 
 def approach_bound(av: AssembledVector, level: int) -> float:
@@ -531,8 +514,9 @@ def density_experiment(av: AssembledVector, schedule: Checkpoints) -> DensityExp
         CheckpointRow(position=position, exponent=exponent, horizon=horizon,
                       label=label, count=count, ratio=ratio,
                       predicted=lower if label == CLASS1 else upper)
-        for (position, exponent, horizon, label), count, ratio
-        in zip(schedule.rows(), report.counts, report.ratios))
+        for position, (exponent, horizon, label, count, ratio) in enumerate(zip(
+            schedule.exponents, schedule.horizons, schedule.classes,
+            report.counts, report.ratios), 1))
     tail = rows[-TAIL_ROWS:]
     class1 = [row.ratio for row in tail if row.label == CLASS1]
     class2 = [row.ratio for row in tail if row.label == CLASS2]

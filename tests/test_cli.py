@@ -9,7 +9,7 @@ import pytest
 from orbitdensity import cli, dyadic
 from orbitdensity import vector as vector_module
 from orbitdensity.cli import RunConfig, load_config_file, main
-from orbitdensity.scalars import IMAG_UNIT
+from orbitdensity.scalars import IMAG_UNIT, ONE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,6 +125,35 @@ class TestVectorCommand:
         assert payload["r_values"] == {"1": 1, "2": 0, "3": 0, "4": 0,
                                        "5": 1, "6": 1}
 
+    @staticmethod
+    def plant_level_one_hit(monkeypatch):
+        # a positive b(k + 2) inside the window of level 1's first site k
+        k = dyadic.site_members(dyadic.SeparationParams.with_min_p(1), 1, 2 ** 10)[0]
+        real = vector_module.expansion_coefficient
+        monkeypatch.setattr(vector_module, "expansion_coefficient",
+                            lambda av, n: ONE if n == k + 2 else real(av, n))
+
+    def test_hit_count_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        self.plant_level_one_hit(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["vector", "--out", str(out)]) == 1
+        assert "hits=FAIL at levels [1]" in capsys.readouterr().out
+        payload = json.loads((out / "vector_report.json").read_text())
+        assert set(payload) == {"family", "omega", "space_exponent", "r_values",
+                                "predicted_lower", "predicted_upper", "tail_constants",
+                                "budget_partials", "approach_checks"}
+        assert payload["r_values"]["1"] == 1
+
+    def test_hit_count_mismatch_keeps_all_artifacts(self, tmp_path, monkeypatch):
+        self.plant_level_one_hit(monkeypatch)
+        out = tmp_path / "out"
+        assert run(["all", "--smax", "3", "--series-horizon", "1024",
+                    "--out", str(out)]) == 1
+        assert {path.name for path in out.iterdir()} == {
+            "fact0.csv", "sets_level1.csv", "sets_level2.csv", "sets_level3.csv",
+            "verify_report.json", "vector_report.json", "orbit_density.csv",
+            "orbit_summary.json"}
+
 
 class TestOrbitCommand:
     @pytest.mark.parametrize("family", ["one-block", "enumerated"])
@@ -218,6 +247,21 @@ class TestConfigMerging:
         assert {key: type(value) for key, value in values.items()} == types
         assert values["tail_tol"] == 1e-9 and values["p_override"] == 3
         RunConfig(**values)
+
+    def test_config_file_parse_error_names_key_and_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# manifest\nsmax=x\n")
+        out = tmp_path / "out"
+        assert run(["all", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}:2: smax: ")
+        assert not out.exists()
+
+    def test_env_parse_error_names_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ORBITDENSITY_SMAX", "x")
+        out = tmp_path / "out"
+        assert run(["all", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ORBITDENSITY_SMAX: ")
+        assert not out.exists()
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         config = tmp_path / "run.cfg"

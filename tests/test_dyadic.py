@@ -155,6 +155,18 @@ class TestMembership:
                         if scale % 5 in (0, 2)
                         for n in brute_sites(params, level, scale)]
             assert [n for n in range(limit) if in_site_set(params, level, n)] == expected
+            # aligned_sites walks a window [lo, hi] to the same set: windows
+            # from lo <= 0, with ends on multiples of the modulus, and around
+            # every strip boundary below 2^15
+            m = params.modulus(level)
+            windows = [(-m - 1, limit - 1), (0, 3 * m), (-5, 0), (m, 8 * m)]
+            windows += [(n, n) for n in expected[:1]]
+            for scale in range(params.min_scale(level), 14):
+                for edge in strip(level, scale):
+                    windows += [(edge - m, edge + m), (edge - 2 * m - 1, edge + 2 * m + 1)]
+            for lo, hi in windows:
+                assert list(dyadic.aligned_sites(params, level, lo, hi)) == \
+                    [n for n in expected if lo <= n <= hi]
 
     def test_rejects_level_zero(self, params):
         for n in (0, 1, 40, 64):

@@ -21,9 +21,10 @@ oscillates forever between two distinct values along the checkpoint
 horizons 2^(q+1).
 
 A level's sites are walked two ways: ``_site_ranges`` yields each selected
-strip's ``strip_sites`` range (behind ``site_members`` and ``count_sites``),
-and ``aligned_sites`` puts each aligned multiple of the modulus in a window to
-the modular test ``in_site_set``, touching no site list.
+strip's ``strip_sites`` range (behind ``site_members``, ``count_sites`` and
+``verify_separation``), and ``aligned_sites`` puts each aligned multiple of
+the modulus in a window to the modular test ``in_site_set``, touching no site
+list.
 
 Everything here is exact integer/rational arithmetic; per-scale counts use
 closed-form range arithmetic so horizons near 2^33 stay cheap.
@@ -31,10 +32,8 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise, repeat
 from typing import Iterator, Optional
 
 SCALE_PERIOD = 5
@@ -187,7 +186,9 @@ def count_sites(params: SeparationParams, level: int, horizon: int) -> int:
     """#(site set of ``level`` in [1, horizon]) by per-scale range arithmetic."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return sum(len(sites) for sites in _site_ranges(params, level, horizon))
+    # len() of a range with more than 2^63 sites overflows; bool() does not
+    return sum((sites.stop - sites.start - 1) // sites.step + 1
+               for sites in _site_ranges(params, level, horizon) if sites)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +328,26 @@ def verify_separation(params: SeparationParams, max_level: int,
     side.  Stops at the first violation, so a too-close same-level pair that
     straddles another level's member shows as a ``cross_level_gap``.  Every
     level-s site is >= 2^(2s+p+2) > 2^(s+1), so no floor check is needed.
+
+    The walk is run by run, a run being one ``_site_ranges`` range of one
+    level.  Each run lies in its own strip, and strips with distinct
+    (level, scale) never overlap, so the nonempty runs sorted by
+    (start, level) list the members in exactly their merged order: the
+    neighbours inside a run are all ``step`` apart, compared once as the
+    pair (r[0], r[1]), and the neighbours across runs are one run's last
+    member and the next run's first.  The check fails closed: were two runs
+    ever to interleave, the run sorted right after the earlier-starting one
+    would start at or below that one's last member, a cross gap <= 0.
     """
     if max_level < 1 or horizon < 1:
         raise ValueError("max_level and horizon must be >= 1")
     range_ = {"max_level": max_level, "horizon": horizon}
     need = {level: 2 ** (level + 1) + 2 * params.d + 1
             for level in range(1, max_level + 1)}
-    merged = heapq.merge(*(zip(site_members(params, level, horizon), repeat(level))
-                           for level in need))
-    for (n1, l1), (n2, l2) in pairwise(merged):
+    runs = sorted(((level, sites) for level in need
+                   for sites in _site_ranges(params, level, horizon) if sites),
+                  key=lambda run: (run[1].start, run[0]))
+    for (n1, l1), (n2, l2) in _neighbour_pairs(runs):
         gap = n2 - n1
         if gap < need[l1] or gap < need[l2]:
             where = ({"condition": "same_level_gap", "level": l1} if l1 == l2 else
@@ -344,6 +356,20 @@ def verify_separation(params: SeparationParams, max_level: int,
                 **where, "i": n1, "i_prime": n2, "gap": gap,
                 "required": need[max(l1, l2)]})
     return _report("separation", params, range_)
+
+
+def _neighbour_pairs(runs: list[tuple[int, range]]
+                     ) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Each distinct neighbouring ((member, level), (member, level)) pair of
+    the (level, run) list, in member order: the previous run's last member
+    with this run's first, then this run's first two members."""
+    previous = None
+    for level, sites in runs:
+        if previous is not None:
+            yield previous, (sites[0], level)
+        if sites[1:]:
+            yield (sites[0], level), (sites[1], level)
+        previous = (sites[-1], level)
 
 
 def verify_checkpoint_gap(params: SeparationParams, max_level: int,

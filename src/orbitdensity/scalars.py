@@ -50,6 +50,12 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
+    def re_positive(self) -> bool:
+        """Re > 0, read off the numerator: a ``Fraction`` keeps its
+        denominator positive, so this is the exact rational test without
+        ``Fraction.__gt__``'s generic dispatch."""
+        return self.re.numerator > 0
+
     def abs_sq(self) -> Fraction:
         """Exact squared modulus; used for all magnitude comparisons."""
         return self.re * self.re + self.im * self.im

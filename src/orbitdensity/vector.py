@@ -102,7 +102,7 @@ class CoefficientBlock:
 
     def positive_offsets(self) -> list[int]:
         """Offsets whose coefficient has strictly positive real part, sorted."""
-        return sorted(j for j, a in self.coeffs.items() if a.re > 0)
+        return sorted(j for j, a in self.coeffs.items() if a.re_positive())
 
     def max_abs(self) -> float:
         if not self.coeffs:
@@ -197,7 +197,7 @@ class AssembledVector:
         same level:  2^(s+1+p) - 2^(s+1) >= 2^(p+2) - 4 >= 2d + 1,
         cross level: 2^(t+1+p) - 2^s - 2^t > 2^(t+1)(2^p - 1) >= 2d + 1.
 
-    ``dyadic.verify_separation`` checks the same spacing member by member.
+    ``dyadic.verify_separation`` checks the same spacing run by run.
     Every level in 1..max_level that ``blocks`` leaves out gets the zero block.
     """
 
@@ -243,18 +243,19 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
 
     A placed window of level s around site k has width 2^(s+1)+1, strictly
     less than the level's alignment modulus, so at most one aligned
-    candidate per level can cover the index; membership of that candidate in
-    the site set settles it.  An index <= 1 finds only candidates <= 0,
-    which ``in_site_set`` rejects.
+    candidate k <= index + radius per level can cover the index.  Its offset
+    k - index is looked up first: a block holds only offsets |j| <= radius,
+    so a hit already implies k >= index - radius, and only then does
+    membership of k in the site set settle it.  An index <= 1 finds only
+    candidates <= 0, which ``in_site_set`` rejects.
     """
     params = av.params
     for level, modulus, radius, coeffs in av._lookup:
         k = index + radius
         k -= k % modulus
-        if k >= index - radius and in_site_set(params, level, k):
-            hit = coeffs.get(k - index)
-            if hit is not None:
-                return hit
+        hit = coeffs.get(k - index)
+        if hit is not None and in_site_set(params, level, k):
+            return hit
     return ZERO
 
 
@@ -312,7 +313,7 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
         k = site_members(params, level, 2 ** (params.min_scale(level) + 4))[0]
         span = block.radius + params.d
         direct = sum(1 for n in range(k - span, k + span + 1)
-                     if expansion_coefficient(av, n).re > 0)
+                     if expansion_coefficient(av, n).re_positive())
         if direct != count:
             raise RuntimeError(
                 f"hit count mismatch at level {level}: block {count}, direct {direct}"
@@ -367,7 +368,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
         for k in sites(level, horizon + block.radius):
             for j in offsets:
                 n = k - j
-                if 1 <= n <= horizon and expansion_coefficient(av, n).re > 0:
+                if 1 <= n <= horizon and expansion_coefficient(av, n).re_positive():
                     found.append(n)
     found.sort()
     members = tuple(n for n, _ in itertools.groupby(found))

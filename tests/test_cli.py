@@ -169,6 +169,15 @@ class TestOrbitCommand:
             "l,q,horizon,class,count,ratio_num,ratio_den,ratio_float,predicted_float"
         assert len(lines) == 1 + 9
 
+    @pytest.mark.parametrize("family", ["one-block", "enumerated"])
+    def test_thirty_checkpoints(self, tmp_path, family):
+        # the last checkpoints count more than 2^63 sites per level
+        out = tmp_path / "out"
+        assert run(["orbit", "--family", family, "--checkpoints", "30",
+                    "--series-horizon", "1024", "--out", str(out)]) == 0
+        assert json.loads((out / "orbit_summary.json").read_text())["separation_flag"] is True
+        assert len((out / "orbit_density.csv").read_text().splitlines()) == 1 + 30
+
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         argv = ["orbit", "--out", None, "--series-horizon", "1024",

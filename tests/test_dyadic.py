@@ -1,4 +1,6 @@
+import heapq
 from fractions import Fraction
+from itertools import pairwise, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,25 @@ def brute_sites(params, level, scale):
     m = params.modulus(level)
     return [i for i in range(lo, hi)
             if min(i - (lo - 1), hi - i) >= m and i % m == 0]
+
+
+def memberwise_separation(params, max_level, horizon):
+    """The member-by-member separation check: every level's ``site_members``
+    merged into one sorted stream, then each neighbouring pair compared."""
+    range_ = {"max_level": max_level, "horizon": horizon}
+    need = {level: 2 ** (level + 1) + 2 * params.d + 1
+            for level in range(1, max_level + 1)}
+    merged = heapq.merge(*(zip(site_members(params, level, horizon), repeat(level))
+                           for level in need))
+    for (n1, l1), (n2, l2) in pairwise(merged):
+        gap = n2 - n1
+        if gap < need[l1] or gap < need[l2]:
+            where = ({"condition": "same_level_gap", "level": l1} if l1 == l2 else
+                     {"condition": "cross_level_gap", "levels": [l1, l2]})
+            return dyadic._report("separation", params, range_, {
+                **where, "i": n1, "i_prime": n2, "gap": gap,
+                "required": need[max(l1, l2)]})
+    return dyadic._report("separation", params, range_)
 
 
 def brute_pool(params, level, horizon):
@@ -201,6 +222,20 @@ class TestMembership:
                        if in_site_set(params, level, n)]
             assert scanned == members
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 14, 100])
+    def test_count_closed_form_at_checkpoints(self, d):
+        # count_sites(s, 2^(q+1)) = sum over selected 2s+p+2 <= j <= q of
+        # 2^(j-2s-p-1) - 1, far past the 2^63 sites where len(range) overflows
+        min_p = min_alignment_exponent(d)
+        for p in (min_p, min_p + 2):
+            params = SeparationParams(d=d, p=p)
+            for level in range(1, 7):
+                for q in checkpoints_between(params, 0, 100).exponents:
+                    expected = sum(2 ** (j - params.min_scale(level) + 1) - 1
+                                   for j in range(params.min_scale(level), q + 1)
+                                   if j % 5 in (0, 2))
+                    assert count_sites(params, level, 2 ** (q + 1)) == expected
+
     def test_high_level_empty_below_first_strip(self, params):
         assert site_members(params, 3, 256) == []
 
@@ -341,8 +376,9 @@ class TestVerifySeparation:
         ({1: [100, 104], 2: [102], 3: []}, ([1, 2], 100, 102, 11)),
     ], ids=["above", "below", "levels-1-2", "clear", "straddled-same-level"])
     def test_cross_level_gap(self, params, monkeypatch, planted, violation):
-        monkeypatch.setattr(dyadic, "site_members",
-                            lambda _params, level, _horizon: planted[level])
+        # each planted member is its own one-member run
+        monkeypatch.setattr(dyadic, "_site_ranges", lambda _params, level, _horizon:
+                            [range(n, n + 1) for n in planted[level]])
         report = verify_separation(params, 3, 2 ** 10)
         if violation is None:
             assert report.passed
@@ -352,6 +388,33 @@ class TestVerifySeparation:
         assert report.first_violation == {
             "condition": "cross_level_gap", "levels": levels, "i": i,
             "i_prime": i_prime, "gap": i_prime - i, "required": required}
+
+    def test_interleaved_runs_fail_closed(self, params, monkeypatch):
+        # members 100, 200, 300 are 100 apart, but the level-2 run sits inside
+        # the level-1 run's span, which real strips never allow: the run
+        # after the earlier-starting one starts below its last member
+        planted = {1: [range(100, 400, 200)], 2: [range(200, 201)], 3: []}
+        monkeypatch.setattr(dyadic, "_site_ranges",
+                            lambda _params, level, _horizon: planted[level])
+        report = verify_separation(params, 3, 2 ** 10)
+        assert report.first_violation == {
+            "condition": "cross_level_gap", "levels": [1, 2], "i": 300,
+            "i_prime": 200, "gap": -100, "required": 11}
+
+    def test_matches_memberwise_reference(self):
+        # the run-by-run walk reports exactly what the member-wise merge
+        # reports, over passing and failing parameters alike (308 of 672 fail)
+        failed = 0
+        for d in (1, 2, 3, 5, 14, 40, 100, 381):
+            for p in range(7):
+                params = SeparationParams(d=d, p=p)
+                for max_level in (1, 2, 4, 6):
+                    for horizon in (2 ** 10, 2 ** 14, 2 ** 18):
+                        expected = memberwise_separation(params, max_level, horizon)
+                        assert verify_separation(params, max_level, horizon).to_json_dict() \
+                            == expected.to_json_dict()
+                        failed += not expected.passed
+        assert failed == 308
 
     def test_json_schema(self, params):
         payload = verify_separation(params, 2, 1024).to_json_dict()

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from orbitdensity import (
     GaussianRational,
@@ -70,6 +72,12 @@ class TestScalars:
     def test_truthiness(self):
         assert not ZERO
         assert ONE and IMAG_UNIT
+
+    @given(st.fractions(), st.fractions())
+    @example(Fraction(0), Fraction(0))
+    @example(Fraction(0), Fraction(1))
+    def test_re_positive_is_rational_sign(self, re, im):
+        assert GaussianRational(re, im).re_positive() == (re > 0)
 
     def test_complex_conversion(self):
         assert complex(GaussianRational(Fraction(1, 4), Fraction(-2))) == 0.25 - 2j

@@ -34,8 +34,6 @@ from .scalars import GaussianRational
 from .shift import (
     NormEstimate,
     ShiftOperator,
-    apply_power,
-    functional_eval,
     tail_constant,
     vector_norm,
 )

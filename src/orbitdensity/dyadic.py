@@ -42,23 +42,20 @@ SELECTED_RESIDUES = (0, 2)
 CLASS1 = "CLASS1"  # checkpoint exponents q = 0 (mod 5)
 CLASS2 = "CLASS2"  # checkpoint exponents q = 2 (mod 5)
 
-#: Exact limits of the normalized selected-scale mass S(a, b) as b grows along
-#: a fixed residue class of b mod 5 (independent of a).
-_MASS_LIMITS = {
-    0: Fraction(36, 31),
-    1: Fraction(18, 31),
-    2: Fraction(40, 31),
-    3: Fraction(20, 31),
-    4: Fraction(10, 31),
-}
-
-#: Valid for every 0 <= a < b: the normalized mass never exceeds this.
-MASS_SUP_BOUND = Fraction(64, 31)
-
 
 def scale_selected(scale: int) -> bool:
     """True when the scale survives the residue filter."""
     return scale >= 0 and scale % SCALE_PERIOD in SELECTED_RESIDUES
+
+
+#: L(r), the limit of the normalized mass S(a, b) as b grows along b = r
+#: (mod 5): 2^5/(2^5 - 1) times the sum of 2^(-t) over t in 0..4 with r - t
+#: selected.  S(a, b) = L(b mod 5) - 2^(a-b) * L(a mod 5) for every
+#: 0 <= a < b, so the largest limit is the supremum of S.
+_MASS_LIMITS = tuple(Fraction(2 ** SCALE_PERIOD, 2 ** SCALE_PERIOD - 1) * sum(
+    Fraction(1, 2 ** t) for t in range(SCALE_PERIOD) if scale_selected((r - t) % SCALE_PERIOD))
+    for r in range(SCALE_PERIOD))
+MASS_SUP_BOUND = max(_MASS_LIMITS)
 
 
 def min_alignment_exponent(d: int) -> int:
@@ -205,15 +202,15 @@ def scale_mass(a: int, b: int) -> Fraction:
 
 def scale_mass_limit(residue: int) -> Fraction:
     """Limit of scale_mass(a, b) for b -> infinity along b = residue (mod 5)."""
-    if residue not in _MASS_LIMITS:
+    if residue not in range(SCALE_PERIOD):
         raise ValueError("residue must be in 0..4")
     return _MASS_LIMITS[residue]
 
 
 def mass_table_rows(a_lo: int, a_hi: int, b_max: int) -> tuple[list[tuple], int]:
     """CSV rows (a, b, b_mod_5, S_num, S_den, limit_num, limit_den, abs_err_float)
-    and how many exact bounds they fail, S <= ``MASS_SUP_BOUND`` and
-    |S - limit| <= 64 * 2^(a-b), so a row failing both counts twice."""
+    and how many exact bounds they fail, S <= ``MASS_SUP_BOUND`` (the largest
+    limit) and |S - limit| <= 64 * 2^(a-b), so a row failing both counts twice."""
     if a_lo < 0 or a_hi < a_lo or b_max <= a_hi:
         raise ValueError("need 0 <= a_lo <= a_hi < b_max")
     rows = []

@@ -10,9 +10,8 @@ certificates.
 A vector is its coefficient function on the coordinates m >= 0.  The
 certificate reads the tail constants eps(s) behind the unconditional sums
 of the Frequent Hypercyclicity Criterion (``tail_constant``) and a
-certified norm (``vector_norm``).  The verdict reads b(n) through
-``vector.expansion_coefficient``; the suite checks it against coordinate 0
-of T^n x (``functional_eval`` of ``apply_power``).
+certified norm (``vector_norm``).  For x(m) = b(m)*w^(-m), coordinate 0 of
+T^n x is w^n*x(n) = b(n), which the verdict reads as ``expansion_coefficient``.
 
 The coordinate-0 vector generates a two-sided chain whose span is dense:
 the inverse chain at step n is the basis vector at index n scaled by w^(-n)
@@ -64,25 +63,6 @@ class ShiftOperator:
 
 
 Coeffs = Callable[[int], GaussianRational]  # coordinate m >= 0 -> coefficient
-
-
-def functional_eval(vector: Coeffs) -> GaussianRational:
-    """Coordinate-0 evaluation functional."""
-    return vector(0)
-
-
-def apply_power(op: ShiftOperator, vector: Coeffs, n: int) -> Coeffs:
-    """n-th power of the operator: coordinate m of T^n x is w^n * x(m + n).
-
-    The result is again an exact, lazily evaluated coefficient function.  It
-    carries no support or decay data: callers read only its coordinate 0.
-    """
-    if n < 0:
-        raise ValueError("power must be >= 0")
-    if n == 0:
-        return vector
-    scale = GaussianRational(op.weight ** n)
-    return lambda m: scale * vector(m + n)
 
 
 def tail_constant(op: ShiftOperator, level: int) -> float:

@@ -296,6 +296,16 @@ class TestScaleMass:
     def test_sup_bound(self, a, gap):
         assert scale_mass(a, a + gap) <= MASS_SUP_BOUND
 
+    @given(st.integers(0, 129).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a + 1, 130))))
+    @settings(max_examples=300)
+    def test_mass_is_a_difference_of_limits(self, ab):
+        # the proof that every S lies strictly below the largest limit, which
+        # is what MASS_SUP_BOUND is
+        a, b = ab
+        assert scale_mass(a, b) == scale_mass_limit(b % 5) - \
+            Fraction(2 ** a, 2 ** b) * scale_mass_limit(a % 5)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scale_mass(3, 3)
@@ -495,6 +505,17 @@ class TestSuiteChecks:
             assert set(payload) == REPORT_KEYS
             assert payload["pass"] is True and payload["first_violation"] is None
             assert payload["params"] == {"d": d, "p": params.p}
+
+    def test_mass_bound_rejects_ratio_above_largest_limit(self, params, monkeypatch):
+        # 3/2 * 2^(-2s-p-1) lies between 40/31 and 64/31 times that weight: the
+        # supremum derived from the limits rejects it, a looser one would not
+        monkeypatch.setattr(dyadic, "count_sites", lambda params, level, horizon:
+                            (3 * horizon) >> (2 * level + params.p + 2))
+        report = verify_mass_bound(params, 3, 9)
+        assert not report.passed
+        assert report.first_violation == {
+            "condition": "mass_bound", "level": 1, "q": 5,
+            "ratio": "3/32", "required": "5/62"}
 
     def test_ranges(self, params):
         assert verify_counting_bounds(params, 5, 26).range_ == \

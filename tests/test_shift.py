@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from orbitdensity import (
     GaussianRational,
     ShiftOperator,
-    apply_power,
-    functional_eval,
     tail_constant,
     vector_norm,
 )
@@ -29,11 +27,6 @@ def basis(index):
     return table({index: ONE})
 
 
-def chain(op, step):
-    """Inverse-orbit chain at ``step``: w^(-step) e_step, and 0 for step < 0."""
-    return table({step: GaussianRational(op.weight ** -step)} if step >= 0 else {})
-
-
 class FloatCoeff(complex):
     """Float coefficient with the one method ``vector_norm`` reads."""
 
@@ -42,7 +35,8 @@ class FloatCoeff(complex):
 
 
 def chain_sum_norm(op, indices, weights):
-    """Norm of sum_n weights[n] * chain(n), summed over [min, max] of the indices.
+    """Norm of sum_n weights[n] * w^(-n) e_n (the inverse-orbit chain), summed
+    over [min, max] of the indices.
 
     The coefficients are floats: the bound is a float comparison anyway, and
     exact rationals would make the randomized sweep slow.
@@ -95,50 +89,6 @@ class TestOperator:
     def test_sup_space(self):
         op = ShiftOperator(space_exponent=math.inf)
         assert op.is_sup_space
-
-
-class TestChain:
-    def test_forward_consistency(self, op):
-        # applying the operator to step n gives step n-1
-        for n in range(1, 9):
-            stepped = apply_power(op, chain(op, n), 1)
-            target = chain(op, n - 1)
-            assert all(stepped(m) == target(m) for m in range(12))
-
-
-class TestApplyPower:
-    def test_identity(self, op):
-        vec = basis(2)
-        assert apply_power(op, vec, 0) is vec
-
-    def test_shift_to_origin(self, op):
-        vec = apply_power(op, basis(5), 5)
-        assert vec(0) == GaussianRational(Fraction(32))
-        assert not vec(1)
-
-    def test_shift_past_origin(self, op):
-        vec = apply_power(op, basis(3), 5)
-        assert all(not vec(m) for m in range(10))
-
-    def test_functional_identity(self, op):
-        # functional(power n of v) = w^n * v(n), exactly
-        vec = table({0: ONE, 3: GaussianRational(Fraction(1, 2), Fraction(1, 4)),
-                     7: IMAG_UNIT})
-        for n in range(9):
-            expected = (op.weight ** n) * vec(n)
-            assert functional_eval(apply_power(op, vec, n)) == expected
-
-
-class TestFunctional:
-    def test_basis_values(self, op):
-        assert functional_eval(basis(0)) == ONE
-        assert not functional_eval(basis(1))
-
-    def test_support_is_origin_only(self, op):
-        # pairing with every chain step vanishes except at step 0
-        for step in range(-10, 11):
-            value = functional_eval(chain(op, -step))
-            assert bool(value) == (step == 0)
 
 
 class TestTailConstant:

@@ -35,7 +35,6 @@ from orbitdensity import (
 from orbitdensity import dyadic
 from orbitdensity import vector as vector_module
 from orbitdensity.scalars import IMAG_UNIT, ONE, ZERO
-from orbitdensity.shift import apply_power, functional_eval
 
 
 def gr(re, im=0):
@@ -192,14 +191,6 @@ class TestExpansionCoefficient:
         for n in range(1, 4096):
             expected = ONE if n in members else ZERO
             assert expansion_coefficient(one_block_av, n) == expected
-
-    def test_orbit_functional_is_expansion(self, mixed_av, op):
-        # coordinate 0 of T^n x equals b(n) for x = sum_i b(i) w^(-i) e_i
-        horizon = 64
-        x = lambda m: expansion_coefficient(mixed_av, m) * (op.weight ** -m)
-        for n in range(1, horizon + 1):
-            assert functional_eval(apply_power(op, x, n)) == \
-                expansion_coefficient(mixed_av, n)
 
 
 class TestSeriesOracle:

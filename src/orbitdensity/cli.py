@@ -53,10 +53,12 @@ class RunConfig:
     checkpoints: int = 9
     horizon: int = 2 ** 23
     series_horizon: int = 2 ** 14
-    tail_tol: float = 1e-12
     family: str = FAMILIES[0]
     out: str = "out"
     seed: int = 0
+    # not a field, so no key, env var or flag reaches it; only the benchmark's
+    # certify workload reads it, and it goes when the benchmark drops that read
+    tail_tol = 1e-12
 
     def __post_init__(self) -> None:
         """Reject a bad value before any stage runs or writes an artifact."""
@@ -65,8 +67,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.checkpoints < 2:
             raise ValueError("checkpoints must be >= 2 (one per checkpoint class)")
-        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0):
-            raise ValueError("tail_tol must be finite and > 0")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         first = checkpoint_schedule(self.params(), 1).horizons[0]
@@ -109,7 +109,7 @@ def _parse_space(text: str) -> float:
 
 # RunConfig's field annotations (strings, by the __future__ import) -> parser
 # of a config-file or environment value; any other field stays a str
-_PARSERS = {"int": int, "int | None": int, "float": float}
+_PARSERS = {"int": int, "int | None": int}
 
 
 def _coerce(field: Field, raw: str, where: str):
@@ -333,9 +333,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "(<= 2^18), not orbit's density rows (default 2^23)")
     parser.add_argument("--series-horizon", dest="series_horizon", type=int,
                         help="series-oracle horizon (default 2^14)")
-    parser.add_argument("--tail-tol", dest="tail_tol", type=float,
-                        help="validated (finite, > 0) and accepted, but read by "
-                             "no check (default 1e-12)")
     parser.add_argument("--family", choices=FAMILIES,
                         help=f"coefficient family (default {FAMILIES[0]})")
     parser.add_argument("--out", help="output directory (default out)")

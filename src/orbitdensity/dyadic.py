@@ -209,18 +209,19 @@ def scale_mass_limit(residue: int) -> Fraction:
 
 def mass_table_rows(a_lo: int, a_hi: int, b_max: int) -> tuple[list[tuple], int]:
     """CSV rows (a, b, b_mod_5, S_num, S_den, limit_num, limit_den, abs_err_float)
-    and how many exact bounds they fail, S <= ``MASS_SUP_BOUND`` (the largest
-    limit) and |S - limit| <= 64 * 2^(a-b), so a row failing both counts twice."""
+    and how many exact checks they fail, S <= ``MASS_SUP_BOUND`` and the identity
+    |S - limit| = 2^(a-b) * L(a mod 5), so a row failing both counts twice."""
     if a_lo < 0 or a_hi < a_lo or b_max <= a_hi:
         raise ValueError("need 0 <= a_lo <= a_hi < b_max")
     rows = []
     failures = 0
     for a in range(a_lo, a_hi + 1):
+        tail = 2 ** a * scale_mass_limit(a % SCALE_PERIOD)  # limit - S = tail / 2^b
         for b in range(a + 1, b_max + 1):
             s = scale_mass(a, b)
             limit = scale_mass_limit(b % SCALE_PERIOD)
             err = abs(s - limit)
-            failures += (s > MASS_SUP_BOUND) + (err > Fraction(64 * 2 ** a, 2 ** b))
+            failures += (s > MASS_SUP_BOUND) + (err != tail / 2 ** b)
             rows.append((a, b, b % SCALE_PERIOD, s.numerator, s.denominator,
                          limit.numerator, limit.denominator, float(err)))
     return rows, failures
@@ -398,7 +399,7 @@ def verify_counting_bounds(params: SeparationParams, max_level: int,
     for level in range(1, max_level + 1):
         for scale in range(params.min_scale(level), max_scale + 1):
             count = len(strip_sites(params, level, scale))
-            expected = 2 ** (scale - 2 * level - params.p - 1)
+            expected = 2 ** (scale - params.min_scale(level) + 1)
             if not expected - 2 <= count <= expected:
                 return _report("counting_bounds", params, range_, {
                     "condition": "site_count", "level": level, "scale": scale,
@@ -409,11 +410,12 @@ def verify_counting_bounds(params: SeparationParams, max_level: int,
 def verify_mass_bound(params: SeparationParams, max_level: int,
                       count: int) -> CheckReport:
     """Site-set counting ratios at the first ``count`` checkpoints stay under
-    the global mass supremum times 2^(-2s-p-1)."""
+    MASS_SUP_BOUND * 2^-ms, ms = ``params.min_scale(level)``: at 2^(q+1) a ratio
+    is exactly 2^-ms * S(ms-1, q) - N / 2^(q+1), N = #selected scales in [ms, q]."""
     schedule = checkpoint_schedule(params, count)
     range_ = {"max_level": max_level, "checkpoints": count}
     for level in range(1, max_level + 1):
-        cap = MASS_SUP_BOUND * Fraction(1, 2 ** (2 * level + params.p + 1))
+        cap = MASS_SUP_BOUND / 2 ** params.min_scale(level)
         for q, horizon in zip(schedule.exponents, schedule.horizons):
             ratio = Fraction(count_sites(params, level, horizon), horizon)
             if ratio > cap:
@@ -424,14 +426,14 @@ def verify_mass_bound(params: SeparationParams, max_level: int,
 
 
 def verify_class_limits(params: SeparationParams, max_level: int) -> CheckReport:
-    """Counting ratios at the checkpoints with q in [20, 32] (the first six
-    when none is admissible) within 2% of their class limit.  A checkpoint
-    exponent q is a selected scale, so q mod 5 is its class residue and the
-    limit is ``scale_mass_limit(q mod 5) * 2^(-2s-p-2)``."""
-    try:
-        schedule = checkpoints_between(params, 20, 32)
-    except ValueError:
-        schedule = checkpoint_schedule(params, 6)
+    """Counting ratios at the checkpoints with q in [q0, q0 + 12], q0 =
+    max(20, ``params.min_scale(max_level)`` + 7), within 2% of their class
+    limit L(q mod 5) * 2^-ms, ms = ``params.min_scale(level)``.  A ratio
+    falls short of it by exactly (L((ms-1) mod 5) + N) / 2^(q+1) (see
+    ``verify_mass_bound``), at most 2^(ms-q-1) * (40/31 + N) / (36/31) of it:
+    below 1.8% at q - ms = 7, where N <= 4, and less beyond; up to 2.5% at 6."""
+    q0 = max(20, params.min_scale(max_level) + 7)
+    schedule = checkpoints_between(params, q0, q0 + 12)
     range_ = {"max_level": max_level,
               "q_range": [schedule.exponents[0], schedule.exponents[-1]]}
     for level in range(1, max_level + 1):

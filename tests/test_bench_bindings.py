@@ -1,11 +1,12 @@
-"""The benchmark's tracer must find every package name it wraps.
+"""The benchmark must find every package name it reads.
 
-``bench/tracer.py`` rebinds named functions and methods of the package; a
-name it wraps that the package no longer has would otherwise surface only
-as a failed traced benchmark run.
+``bench/tracer.py`` rebinds named functions and methods of the package, and
+``bench/workloads.py`` reads ``RunConfig.tail_tol``; a name the package no
+longer has would otherwise surface only as a failed benchmark run.
 """
 
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,3 +40,10 @@ def test_tracer_installs_on_loaded_package(params):
     assert tracer.counts["dyadic.count_sites.calls"] == 1
     assert (dyadic.in_site_set, vector.SeriesOracle.value,
             vars(scalars.GaussianRational)["__add__"]) == originals
+
+
+def test_tail_tol_is_not_a_config_field():
+    # the benchmark's certify workload reads config.tail_tol; no key, env var
+    # or flag sets it
+    assert cli.RunConfig().tail_tol == 1e-12
+    assert "tail_tol" not in {f.name for f in fields(cli.RunConfig)}

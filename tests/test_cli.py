@@ -43,6 +43,16 @@ class TestFact0:
                     "--out", str(out)]) == 1
         assert f"fact0: 60 rows, {failures} failures" in capsys.readouterr().out
 
+    def test_mass_off_the_identity_exits_1(self, tmp_path, capsys, monkeypatch):
+        # S off by 2^(a-b) stays within a 64 * 2^(a-b) convergence rate; the
+        # exact identity S = L(b mod 5) - 2^(a-b) * L(a mod 5) rejects every row
+        real = dyadic.scale_mass
+        monkeypatch.setattr(dyadic, "scale_mass",
+                            lambda a, b: real(a, b) - Fraction(2 ** a, 2 ** b))
+        assert run(["fact0", "--a-min", "5", "--a-max", "5", "--b-max", "65",
+                    "--out", str(tmp_path / "out")]) == 1
+        assert "fact0: 60 rows, 60 failures" in capsys.readouterr().out
+
     def test_bad_range_is_usage_error(self, tmp_path):
         assert run(["fact0", "--a-min", "5", "--a-max", "4", "--b-max", "65",
                     "--out", str(tmp_path)]) == 2
@@ -88,14 +98,17 @@ class TestSets:
 
 class TestVerify:
     def test_default_passes(self, tmp_path):
-        out = tmp_path / "out"
-        assert run(["verify", "--out", str(out)]) == 0
-        payload = json.loads((out / "verify_report.json").read_text())
-        assert {entry["check"] for entry in payload} == {
-            "separation", "checkpoint_gap", "counting_bounds",
-            "mass_bound", "class_limits"}
-        assert all(entry["pass"] for entry in payload)
-        assert all(entry["first_violation"] is None for entry in payload)
+        # d = 100 and p = 6 both give p = 6, so level 3's smallest scale is 14
+        # and the class-limit window starts at q = 21, not 20
+        for flags in ([], ["--d", "100"], ["--p", "6"]):
+            out = tmp_path / "-".join(["out", *flags])
+            assert run(["verify", "--out", str(out), *flags]) == 0
+            payload = json.loads((out / "verify_report.json").read_text())
+            assert {entry["check"] for entry in payload} == {
+                "separation", "checkpoint_gap", "counting_bounds",
+                "mass_bound", "class_limits"}
+            assert all(entry["pass"] for entry in payload)
+            assert all(entry["first_violation"] is None for entry in payload)
 
     def test_forced_p_zero_fails_with_counterexample(self, tmp_path):
         out = tmp_path / "out"
@@ -243,18 +256,17 @@ class TestConfigMerging:
         # one valid value per RunConfig field, each parsed to its annotated type
         lines = {"omega": "5/2", "space": "lp:3", "d": "2", "p_override": "3",
                  "smax": "4", "checkpoints": "5", "horizon": "4096",
-                 "series_horizon": "1024", "tail_tol": "1e-9",
-                 "family": "enumerated", "out": "results", "seed": "7"}
+                 "series_horizon": "1024", "family": "enumerated",
+                 "out": "results", "seed": "7"}
         types = {"omega": str, "space": str, "d": int, "p_override": int,
                  "smax": int, "checkpoints": int, "horizon": int,
-                 "series_horizon": int, "tail_tol": float, "family": str,
-                 "out": str, "seed": int}
+                 "series_horizon": int, "family": str, "out": str, "seed": int}
         assert set(lines) == {f.name for f in fields(RunConfig)}
         config = tmp_path / "run.cfg"
         config.write_text("".join(f"{key}={value}\n" for key, value in lines.items()))
         values = load_config_file(config)
         assert {key: type(value) for key, value in values.items()} == types
-        assert values["tail_tol"] == 1e-9 and values["p_override"] == 3
+        assert values["p_override"] == 3
         RunConfig(**values)
 
     def test_config_file_parse_error_names_key_and_line(self, tmp_path, capsys):
@@ -301,9 +313,6 @@ class TestConfigMerging:
 
 class TestInvalidConfig:
     @pytest.mark.parametrize("flags", [
-        ["--tail-tol", "nan"],
-        ["--tail-tol", "-1"],
-        ["--tail-tol", "inf"],
         ["--horizon", "-5"],
         ["--checkpoints", "1"],
         ["--omega", "1/0"],
@@ -313,8 +322,7 @@ class TestInvalidConfig:
         ["--omega", "1e400"],
         ["--smax", "1030"],
         ["--p", "0"],
-    ], ids=["tail-tol-nan", "tail-tol-negative", "tail-tol-inf", "horizon-negative",
-            "one-checkpoint", "omega-zero-denominator", "d-zero",
+    ], ids=["horizon-negative", "one-checkpoint", "omega-zero-denominator", "d-zero",
             "omega-float-is-one", "horizon-below-first-checkpoint",
             "omega-float-overflow", "smax-beyond-float-range", "p-inadmissible"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
@@ -330,7 +338,7 @@ class TestInvalidConfig:
             RunConfig(smax=1024)
 
     @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach", "smax=1030",
-                                      "p_override=0"])
+                                      "p_override=0", "tail_tol=1e-12"])
     def test_config_file_value_checked_before_any_stage(self, tmp_path, line):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")

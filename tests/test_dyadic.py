@@ -492,7 +492,7 @@ class TestCheckpointGap:
 class TestSuiteChecks:
     """The per-strip and per-checkpoint checks behind verify_report.json."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 14])
+    @pytest.mark.parametrize("d", [1, 2, 3, 14, 62, 100, 1000])
     def test_pass_at_min_p(self, d):
         params = SeparationParams.with_min_p(d)
         reports = [verify_counting_bounds(params, 5, 26),
@@ -507,15 +507,17 @@ class TestSuiteChecks:
             assert payload["params"] == {"d": d, "p": params.p}
 
     def test_mass_bound_rejects_ratio_above_largest_limit(self, params, monkeypatch):
-        # 3/2 * 2^(-2s-p-1) lies between 40/31 and 64/31 times that weight: the
-        # supremum derived from the limits rejects it, a looser one would not
-        monkeypatch.setattr(dyadic, "count_sites", lambda params, level, horizon:
-                            (3 * horizon) >> (2 * level + params.p + 2))
-        report = verify_mass_bound(params, 3, 9)
-        assert not report.passed
-        assert report.first_violation == {
-            "condition": "mass_bound", "level": 1, "q": 5,
-            "ratio": "3/32", "required": "5/62"}
+        # the cap is 40/31 * 2^-ms, ms = min_scale(level): a ratio of 3 * 2^-ms
+        # fails it, and so does 2 * 2^-ms, which a cap of twice the supremum
+        # would let pass
+        for multiplier, ratio in ((3, "3/32"), (2, "1/16")):
+            monkeypatch.setattr(dyadic, "count_sites", lambda params, level, horizon:
+                                (multiplier * horizon) >> params.min_scale(level))
+            report = verify_mass_bound(params, 3, 9)
+            assert not report.passed
+            assert report.first_violation == {
+                "condition": "mass_bound", "level": 1, "q": 5,
+                "ratio": ratio, "required": "5/124"}
 
     def test_ranges(self, params):
         assert verify_counting_bounds(params, 5, 26).range_ == \
@@ -524,6 +526,25 @@ class TestSuiteChecks:
             {"max_level": 3, "checkpoints": 9}
         assert verify_class_limits(params, 3).range_ == \
             {"max_level": 3, "q_range": [20, 32]}
+        # d = 62 needs p = 6: min_scale(3) + 7 = 21 moves the window start
+        assert verify_class_limits(SeparationParams.with_min_p(62), 3).range_ == \
+            {"max_level": 3, "q_range": [22, 32]}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 14, 62, 100, 1000])
+    def test_class_limits_pass_for_every_p(self, d):
+        # the window starts 7 scales past the top level's smallest scale, so
+        # no alignment exponent pushes it onto a ratio still far from its limit
+        for p in range(min_alignment_exponent(d), 31):
+            assert verify_class_limits(SeparationParams(d=d, p=p), 3).passed
+
+    def test_class_limit_window_offset_is_tight(self):
+        # one scale earlier the ratio is too far off: at d = 62 (p = 6), level
+        # 3 has ms = 14, and its ratio at q = 20 = ms + 6 is over 2% off
+        params = SeparationParams.with_min_p(62)
+        ms = params.min_scale(3)
+        limit = scale_mass_limit(20 % 5) / 2 ** ms
+        ratio = Fraction(count_sites(params, 3, 2 ** 21), 2 ** 21)
+        assert 20 - ms == 6 and abs(ratio - limit) > Fraction(2, 100) * limit
 
 
 class TestSeparationParams:

@@ -139,11 +139,16 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _env_overrides() -> dict:
+    """ORBITDENSITY_<FIELD> values; any other ORBITDENSITY_* name is rejected,
+    as the config file rejects an unknown key."""
     values: dict = {}
-    for f in fields(RunConfig):
-        name = ENV_PREFIX + f.name.upper()
-        if name in os.environ:
-            values[f.name] = _coerce(f, os.environ[name], name)
+    known = {ENV_PREFIX + f.name.upper(): f for f in fields(RunConfig)}
+    for name, raw in sorted(os.environ.items()):
+        if not name.startswith(ENV_PREFIX):
+            continue
+        if name not in known:
+            raise ValueError(f"{name}: unknown variable")
+        values[known[name].name] = _coerce(known[name], raw, name)
     return values
 
 

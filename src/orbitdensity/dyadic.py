@@ -136,22 +136,31 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
 
 
 def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
-    """Membership in the level's site set (selected scales only).
+    """Membership in the level's site set (selected scales only): the test
+    ``strip_sites`` states, by shift and mask.
 
-    The modulus and the bounds of strip(level, scale) are powers of two and
-    are written as shifts here; the test is the one ``strip_sites`` states.
+    The modulus is m = 2^shift, shift = level + 1 + p, so n is aligned when
+    its low ``shift`` bits are 0.  The scale j = ``n.bit_length() - 1`` must
+    be selected and at least ``min_scale(level)`` = level + shift + 1.  With
+    w = 2^(j - level), strip(level, j) = [2^(j+1) - 2w, 2^(j+1) - w) holds
+    exactly the n with n // w = 2^(level+1) - 2: the top level + 1 bits of n
+    read 1...10.  From ``min_scale`` on, w is a multiple of m, so both strip
+    ends are aligned, the aligned n in the strip are lo, lo + m, ..., hi - m,
+    and all but lo lie a modulus away from the complement.  For an aligned n
+    in the strip, "interior" thus means "not the lower end": n mod w != 0.
+    Every n <= 1 is rejected: 0 has scale -1, 1 is not aligned, and a
+    negative n has a negative quotient.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    m = 1 << (level + 1 + params.p)
-    if n < 2 or n & (m - 1):
+    shift = level + 1 + params.p
+    if n & ((1 << shift) - 1):
         return False
     scale = n.bit_length() - 1
-    if scale % SCALE_PERIOD not in SELECTED_RESIDUES or scale < 2 * level + params.p + 2:
+    if scale <= level + shift or scale % SCALE_PERIOD not in SELECTED_RESIDUES:
         return False
-    top = 2 << scale  # 2^(scale+1); the strip is [top - 2*width, top - width)
-    width = 1 << (scale - level)
-    return n - (top - 2 * width - 1) >= m and top - width - n >= m
+    low = scale - level
+    return n >> low == (2 << level) - 2 and n & ((1 << low) - 1) != 0
 
 
 def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator[range]:
@@ -196,7 +205,9 @@ def scale_mass(a: int, b: int) -> Fraction:
     """2^(-b) * sum of 2^j over selected scales j with a < j <= b, exact."""
     if a < 0 or b <= a:
         raise ValueError("need 0 <= a < b")
-    total = sum(2 ** j for j in range(a + 1, b + 1) if scale_selected(j))
+    # each selected residue r steps over its scales j > a, j = r (mod 5)
+    total = sum(1 << j for r in SELECTED_RESIDUES
+                for j in range(a + 1 + (r - a - 1) % SCALE_PERIOD, b + 1, SCALE_PERIOD))
     return Fraction(total, 2 ** b)
 
 

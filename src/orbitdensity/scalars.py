@@ -23,8 +23,21 @@ class GaussianRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # every arithmetic result already holds Fractions; wrap only the rest
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal parts, tested by identity first, which settles the shared
+        ``ZERO``; any other type is ``NotImplemented``, so
+        ``GaussianRational() != 0``.  The dataclass still hashes (re, im)."""
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)

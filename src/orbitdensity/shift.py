@@ -125,8 +125,11 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
     the coordinates run on forever and ``decay`` = (cap, ratio) must certify
     |vector(m)| <= cap * ratio^m for m >= start; the range is then scanned
     until the certified geometric remainder drops below ``tail_tol``, and
-    that remainder is the estimate's tail bound.  Raises
-    NormCertificateError when an unbounded range has no usable certificate.
+    that remainder is the estimate's tail bound.  A zero coordinate is
+    skipped before its squared modulus is formed: it would only add 0.0 to
+    the sum or take a max with it, so the norm is the same bit for bit.
+    Raises NormCertificateError when an unbounded range has no usable
+    certificate.
     """
     p = op.space_exponent
     sup = op.is_sup_space
@@ -143,9 +146,10 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
 
     acc = 0.0
     for m in range(start, stop):
-        sq = float(vector(m).abs_sq())
-        if sq == 0.0:
+        value = vector(m)
+        if not value:
             continue
+        sq = float(value.abs_sq())
         if sup:
             acc = max(acc, math.sqrt(sq))
         else:

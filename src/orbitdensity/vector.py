@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -217,9 +218,11 @@ class AssembledVector:
         self.blocks = {level: blocks[level] if level in blocks else zero_block(level)
                        for level in range(1, self.max_level + 1)}
 
-        # hot-path data for coefficient lookups: (level, modulus, radius, coeffs)
+        # hot-path data for coefficient lookups: (level, -modulus, radius,
+        # coeffs); x & -modulus floors x to a multiple of the power-of-two
+        # modulus, negative x included
         self._lookup = tuple(
-            (level, params.modulus(level), 2 ** level, block.coeffs)
+            (level, -params.modulus(level), 2 ** level, block.coeffs)
             for level, block in self.blocks.items()
             if not block.is_zero
         )
@@ -250,9 +253,8 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
     candidates <= 0, which ``in_site_set`` rejects.
     """
     params = av.params
-    for level, modulus, radius, coeffs in av._lookup:
-        k = index + radius
-        k -= k % modulus
+    for level, mask, radius, coeffs in av._lookup:
+        k = (index + radius) & mask
         hit = coeffs.get(k - index)
         if hit is not None and in_site_set(params, level, k):
             return hit
@@ -264,12 +266,12 @@ class SeriesOracle:
 
     Every active level's block coefficients are scattered once over the
     level's site list from the ``strip_sites`` ranges (``site_members``): a
-    site k contributes a_j at n = k - j.  Contributions to the same n are
-    summed, not overwritten, so the map does not assume separation: two
-    overlapping windows would show up as a disagreement with
-    ``expansion_coefficient``.  No ``in_site_set`` or
-    ``expansion_coefficient`` call is involved, so this route shares no
-    membership test with the route it checks.
+    site k contributes a_j at n = k - j.  The first contribution to an n is
+    stored as is, and an overlap adds every later one to it, never
+    overwrites it, so the map does not assume separation: two overlapping
+    windows would show up as a disagreement with ``expansion_coefficient``.
+    No ``in_site_set`` or ``expansion_coefficient`` call is involved, so this
+    route shares no membership test with the route it checks.
     """
 
     def __init__(self, av: AssembledVector, horizon: int) -> None:
@@ -283,7 +285,7 @@ class SeriesOracle:
                 for j, a in block.coeffs.items():
                     n = k - j
                     if 1 <= n <= horizon:
-                        values[n] = values.get(n, ZERO) + a
+                        values[n] = values[n] + a if n in values else a
         self._values = values
 
     def value(self, n: int) -> GaussianRational:
@@ -371,7 +373,9 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
                 if 1 <= n <= horizon and expansion_coefficient(av, n).re_positive():
                     found.append(n)
     found.sort()
-    members = tuple(n for n, _ in itertools.groupby(found))
+    # keep each n that differs from its predecessor; compress and map run in C
+    members = tuple(itertools.compress(
+        found, map(operator.ne, found, itertools.chain((None,), found))))
     return ReturnSet(members=members)
 
 
@@ -431,7 +435,9 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
 
     ``n`` must lie in the level's site set.  The difference vector has
     coordinates (b(n+m) - a(-m)) * w^(-m); its certified norm (value plus
-    tail) must stay within ``approach_bound`` plus ``tail_tol``.
+    tail) must stay within ``approach_bound`` plus ``tail_tol``.  A
+    coordinate where b(n+m) and a(-m) are both zero is ``ZERO`` without
+    forming the difference, and ``vector_norm`` skips it.
     """
     params = av.params
     if not in_site_set(params, level, n):
@@ -441,7 +447,10 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
     cap = av.coefficient_cap() + block.max_abs()
 
     def coeff(m: int) -> GaussianRational:
-        delta = expansion_coefficient(av, n + m) - block.a(-m)
+        b, a = expansion_coefficient(av, n + m), block.a(-m)
+        if not (b or a):
+            return ZERO
+        delta = b - a
         return delta * (w ** -m) if delta else ZERO
 
     estimate = vector_norm(av.op, coeff, 0, decay=(cap, 1.0 / av.op.weight_float),

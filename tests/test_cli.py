@@ -346,6 +346,17 @@ class TestInvalidConfig:
         assert run(["all", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", [("ORBITDENSITY_SMAXX", "0"),
+                                             ("ORBITDENSITY_TAIL_TOL", "nan")],
+                             ids=["misspelled", "removed-key"])
+    def test_unknown_env_variable(self, tmp_path, capsys, monkeypatch, name, value):
+        # a variable that names no config key exits 2, as an unknown key does
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        assert run(["verify", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {name}: unknown variable\n"
+        assert not out.exists()
+
 
 class TestAllCommand:
     @pytest.mark.parametrize("family", ["one-block", "enumerated"])

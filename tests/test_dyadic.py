@@ -138,7 +138,38 @@ class TestStripSites:
                 assert count == cap - 1  # sharp for aligned strip endpoints
 
 
+@st.composite
+def membership_cases(draw):
+    """(params, level, n): n anywhere in [-2^10, 2^64], or aligned there, or
+    at or next to an aligned point of a strip below 2^64 (half of the time one
+    that hosts sites), or the negative of such a point, so that sites, strip
+    ends and their mirror images are drawn as well as the gaps."""
+    params = SeparationParams(d=draw(st.integers(1, 1000)), p=draw(st.integers(0, 8)))
+    level = draw(st.integers(1, 8))
+    m = params.modulus(level)
+    wide = st.integers(-2 ** 10, 2 ** 64)
+    hosting = [j for j in range(params.min_scale(level), 64) if j % 5 in (0, 2)]
+    scale = draw(st.one_of(st.integers(level, 63), st.sampled_from(hosting)))
+    lo, hi = strip(level, scale)
+    near_strip = st.builds(lambda t, e: lo + t * m + e,
+                           st.integers(-1, (hi - lo) // m + 1), st.sampled_from((0, 0, 0, -1, 1)))
+    n = draw(st.one_of(wide, wide.map(lambda x: x - x % m), near_strip, near_strip,
+                       near_strip.map(lambda x: -x)))
+    return params, level, n
+
+
 class TestMembership:
+    @given(membership_cases())
+    @settings(max_examples=600)
+    def test_bit_form_matches_strip_sites(self, case):
+        # reference: n is a site of the strip its scale picks, when that scale
+        # is selected and wide enough to host sites
+        params, level, n = case
+        scale = n.bit_length() - 1
+        expected = (scale >= params.min_scale(level) and scale % 5 in (0, 2)
+                    and n in strip_sites(params, level, scale))
+        assert in_site_set(params, level, n) == expected
+
     def test_examples(self, params):
         assert in_site_set(params, 1, 40)
         assert not in_site_set(params, 1, 72)  # scale 6 is not selected
@@ -309,6 +340,15 @@ class TestScaleMass:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             scale_mass(3, 3)
+
+    @given(st.integers(0, 199).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a + 1, 200))))
+    @settings(max_examples=150)
+    def test_residue_steps_match_scale_filter(self, ab):
+        # the per-residue stepping sums the same 2^j as filtering every scale
+        a, b = ab
+        assert scale_mass(a, b) == Fraction(
+            sum(2 ** j for j in range(a + 1, b + 1) if dyadic.scale_selected(j)), 2 ** b)
 
 
 class TestCheckpoints:

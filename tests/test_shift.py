@@ -76,6 +76,22 @@ class TestScalars:
     def test_complex_conversion(self):
         assert complex(GaussianRational(Fraction(1, 4), Fraction(-2))) == 0.25 - 2j
 
+    @given(st.one_of(st.integers(), st.fractions()), st.one_of(st.integers(), st.fractions()))
+    def test_parts_stay_fractions_and_hash_with_value(self, re, im):
+        # ints are wrapped, Fractions kept; equal values hash equal however
+        # they were built, and no GaussianRational equals a plain number
+        a = GaussianRational(re, im)
+        assert type(a.re) is Fraction and type(a.im) is Fraction
+        b = GaussianRational(Fraction(re), Fraction(im))
+        assert a == b and hash(a) == hash(b) == hash((Fraction(re), Fraction(im)))
+        assert a == GaussianRational(a.re, a.im) and not a != b
+        assert a != GaussianRational(Fraction(re) + 1, im)
+        assert GaussianRational() != 0 and ZERO != 0 and a != re
+
+    def test_zero_equals_itself_and_fresh_zeros(self):
+        assert ZERO == ZERO == GaussianRational() == GaussianRational(0, Fraction(0))
+        assert hash(ZERO) == hash(GaussianRational(0, 0))
+
 
 class TestOperator:
     def test_rejects_weight_at_most_one(self):
@@ -139,6 +155,24 @@ class TestVectorNorm:
         op = ShiftOperator(space_exponent=math.inf)
         vec = table({1: GaussianRational(Fraction(3)), 4: GaussianRational(Fraction(-5))})
         assert vector_norm(op, vec, 0, 5).value == 5.0
+
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("zero", [ZERO, FloatCoeff()], ids=["exact", "float"])
+    def test_interleaved_zeros_change_nothing(self, space, zero):
+        # zero coordinates are skipped, so the norm is bit-identical to the
+        # norm of the nonzeros alone
+        op = ShiftOperator(space_exponent=SPACES[space])
+        parts = ((1, 2), (-5, 0), (0, 4), (7, -3), (2, 2))
+        if zero is ZERO:
+            values = [GaussianRational(Fraction(u, 3), Fraction(v, 7)) for u, v in parts]
+        else:
+            values = [FloatCoeff(u / 3, v / 7) for u, v in parts]
+        dense = dict(enumerate(values))
+        sparse = {3 * m + 1: value for m, value in dense.items()}
+        alone = vector_norm(op, lambda m: dense.get(m, zero), 0, len(values)).value
+        interleaved = vector_norm(op, lambda m: sparse.get(m, zero),
+                                  0, 3 * len(values) + 2).value
+        assert alone > 0 and interleaved == alone
 
     def test_triangle_inequality_seeded(self, op):
         rng = random.Random(7)

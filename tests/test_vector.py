@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from orbitdensity import (
     AssembledVector,
@@ -191,6 +193,18 @@ class TestExpansionCoefficient:
         for n in range(1, 4096):
             expected = ONE if n in members else ZERO
             assert expansion_coefficient(one_block_av, n) == expected
+
+    @given(st.integers(-2 ** 70, 1))
+    @example(1)
+    @example(0)
+    @example(-1)
+    @example(-64)
+    @example(-2 ** 9 + 1)
+    def test_zero_at_and_below_one(self, enumerated_av, mixed_av, n):
+        # the candidate site is floored by a mask, which for negative n must
+        # still land on a k <= 0 that no site set holds
+        assert expansion_coefficient(enumerated_av, n) == ZERO
+        assert expansion_coefficient(mixed_av, n) == ZERO
 
 
 class TestSeriesOracle:
@@ -452,6 +466,20 @@ class TestOrbitApproach:
     def test_rejects_non_site(self, one_block_av):
         with pytest.raises(ValueError):
             verify_orbit_approach(one_block_av, 1, 41)
+
+    @pytest.mark.parametrize("level", [1, 2], ids=["placed-block", "zero-block"])
+    def test_planted_coefficient_past_the_block_fails(self, one_block_av, monkeypatch,
+                                                      level):
+        # b(n + m) != 0 at m = 2^level + 3, where a(-m) = 0: the zero
+        # coordinates are skipped, this one must not be
+        n = site_members(one_block_av.params, level, 2 ** 12)[0]
+        planted = n + 2 ** level + 3
+        assert expansion_coefficient(one_block_av, planted) == ZERO
+        assert verify_orbit_approach(one_block_av, level, n)
+        real = vector_module.expansion_coefficient
+        monkeypatch.setattr(vector_module, "expansion_coefficient",
+                            lambda av, i: gr(2 ** 10) if i == planted else real(av, i))
+        assert not verify_orbit_approach(one_block_av, level, n)
 
     @pytest.mark.parametrize("space", [2.0, math.inf, 3.0], ids=["l2", "c0", "lp3"])
     @pytest.mark.parametrize("family", ["one-block", "enumerated"])

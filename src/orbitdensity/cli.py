@@ -121,8 +121,10 @@ def _coerce(field: Field, raw: str, where: str):
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored."""
+    """Flat key=value lines; blank lines and # comments ignored.  An unknown
+    or repeated key is an error."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     known = {f.name: f for f in fields(RunConfig)}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -134,6 +136,10 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         values[key] = _coerce(known[key], raw.strip(), f"{path}:{lineno}: {key}")
     return values
 

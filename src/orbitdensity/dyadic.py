@@ -224,17 +224,24 @@ def mass_table_rows(a_lo: int, a_hi: int, b_max: int) -> tuple[list[tuple], int]
     |S - limit| = 2^(a-b) * L(a mod 5), so a row failing both counts twice."""
     if a_lo < 0 or a_hi < a_lo or b_max <= a_hi:
         raise ValueError("need 0 <= a_lo <= a_hi < b_max")
+    # the checks cross-multiply numerators and (positive) denominators;
+    # |S - limit| = diff / (s_den * l_den)
     rows = []
     failures = 0
     for a in range(a_lo, a_hi + 1):
-        tail = 2 ** a * scale_mass_limit(a % SCALE_PERIOD)  # limit - S = tail / 2^b
+        tail = scale_mass_limit(a % SCALE_PERIOD)  # |S - limit| = tail * 2^(a-b)
+        t_num, t_den = tail.numerator, tail.denominator
         for b in range(a + 1, b_max + 1):
             s = scale_mass(a, b)
             limit = scale_mass_limit(b % SCALE_PERIOD)
-            err = abs(s - limit)
-            failures += (s > MASS_SUP_BOUND) + (err != tail / 2 ** b)
-            rows.append((a, b, b % SCALE_PERIOD, s.numerator, s.denominator,
-                         limit.numerator, limit.denominator, float(err)))
+            sup = MASS_SUP_BOUND
+            s_num, s_den = s.numerator, s.denominator
+            l_num, l_den = limit.numerator, limit.denominator
+            diff = abs(s_num * l_den - l_num * s_den)
+            failures += (s_num * sup.denominator > sup.numerator * s_den) + (
+                (diff * t_den) << (b - a) != t_num * s_den * l_den)
+            rows.append((a, b, b % SCALE_PERIOD, s_num, s_den,
+                         l_num, l_den, diff / (s_den * l_den)))
     return rows, failures
 
 

@@ -288,6 +288,10 @@ class SeriesOracle:
                         values[n] = values[n] + a if n in values else a
         self._values = values
 
+    def steps(self) -> Iterable[int]:
+        """The steps n that hold a stored value; ``value`` is ``ZERO`` at every other n."""
+        return self._values.keys()
+
     def value(self, n: int) -> GaussianRational:
         if not 1 <= n <= self.horizon:
             raise ValueError(f"orbit step {n} outside oracle horizon {self.horizon}")
@@ -541,6 +545,16 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
                      n_max: int, tail_tol: float = 1e-12) -> list[int]:
     """Orbit steps n in [1, n_max] where the two routes to b(n) differ.
 
+    The exact values are compared only where either route is nonzero.  The
+    exact route walks each active level's aligned sites k <= n_max + radius
+    (``aligned_sites``) and records ``expansion_coefficient(av, k - j)`` for
+    every offset j of the block with 1 <= k - j <= n_max.  That covers every
+    nonzero b(n): ``expansion_coefficient`` returns a nonzero value only as
+    the coefficient at offset k - n of some level, for an aligned
+    k <= n + radius that passed ``in_site_set``, so the walk generates that
+    n.  The oracle is read at every step the walk holds and every step it
+    stores (``oracle.steps``); every other n is zero on both routes.
+
     ``expansion_coefficient`` and ``oracle.value`` are compared as exact
     values, so any difference is flagged, not only one in the sign of the
     real part.  No float enters the comparison, so nothing reads
@@ -549,5 +563,13 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
     """
     if n_max > oracle.horizon:
         raise ValueError("oracle horizon too small")
-    return [n for n in range(1, n_max + 1)
-            if expansion_coefficient(av, n) != oracle.value(n)]
+    exact: dict[int, GaussianRational] = {}
+    for level in av.active_levels:
+        block = av.blocks[level]
+        for k in aligned_sites(av.params, level, 1, n_max + block.radius):
+            for j in block.coeffs:
+                n = k - j
+                if 1 <= n <= n_max:
+                    exact[n] = expansion_coefficient(av, n)
+    steps = exact.keys() | {n for n in oracle.steps() if n <= n_max}
+    return sorted(n for n in steps if exact.get(n, ZERO) != oracle.value(n))

@@ -346,6 +346,16 @@ class TestInvalidConfig:
         assert run(["all", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_repeated_config_key(self, tmp_path, capsys):
+        # a later line must not silently win over an earlier one
+        config = tmp_path / "run.cfg"
+        config.write_text("smax=6\n# comment\nsmax=2\n")
+        out = tmp_path / "out"
+        assert run(["vector", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {config}:3: duplicate key 'smax' (first on line 1)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, value", [("ORBITDENSITY_SMAXX", "0"),
                                              ("ORBITDENSITY_TAIL_TOL", "nan")],
                              ids=["misspelled", "removed-key"])

@@ -233,31 +233,82 @@ class TestSeriesOracle:
         assert [oracle.value(n) for n in range(1, horizon + 1)] == expected
 
     def test_flags_series_value_at_exact_zero(self, one_block_av):
-        # b(3) = 0, but an oracle reading 5 there must still be flagged
+        # b(3) = 0 and no window covers 3, but an oracle storing 5 there
+        # must still be flagged
         av = one_block_av
         assert expansion_coefficient(av, 3) == ZERO
-
-        class StubOracle:
-            horizon = 64
-
-            def value(self, n):
-                return gr(5) if n == 3 else expansion_coefficient(av, n)
-
-        assert sign_cross_check(av, StubOracle(), 64) == [3]
+        oracle = SeriesOracle(av, 64)
+        assert 3 not in oracle.steps()
+        oracle._values[3] = gr(5)
+        assert sign_cross_check(av, oracle, 64) == [3]
 
     def test_flags_difference_with_same_sign(self, one_block_av):
         # b(40) = 1; an oracle reading 1 + i agrees in sign but not in value
         av = one_block_av
         assert expansion_coefficient(av, 40).re > 0
+        oracle = SeriesOracle(av, 64)
+        oracle._values[40] = oracle.value(40) + IMAG_UNIT
+        assert sign_cross_check(av, oracle, 64) == [40]
 
-        class StubOracle:
-            horizon = 64
+    def test_flags_dropped_value(self, enumerated_av):
+        # an oracle missing one covered nonzero value reads ZERO there
+        horizon = 2 ** 11
+        oracle = SeriesOracle(enumerated_av, horizon)
+        n = max(oracle.steps())
+        assert expansion_coefficient(enumerated_av, n) != ZERO
+        del oracle._values[n]
+        assert sign_cross_check(enumerated_av, oracle, horizon) == [n]
 
-            def value(self, n):
-                exact = expansion_coefficient(av, n)
-                return exact + IMAG_UNIT if n == 40 else exact
+    def test_cross_check_needs_no_site_lists(self, enumerated_av, monkeypatch):
+        # the exact side walks aligned sites; only the oracle reads site lists
+        horizon = 2 ** 14
+        oracle = SeriesOracle(enumerated_av, horizon)
 
-        assert sign_cross_check(av, StubOracle(), 64) == [40]
+        def forbidden(*args):
+            raise AssertionError("cross-check reached the site-list route")
+
+        monkeypatch.setattr(dyadic, "strip_sites", forbidden)
+        monkeypatch.setattr(dyadic, "site_members", forbidden)
+        monkeypatch.setattr(dyadic, "_site_ranges", forbidden)
+        monkeypatch.setattr(vector_module, "site_members", forbidden)
+        assert sign_cross_check(enumerated_av, oracle, horizon) == []
+
+    def test_cross_check_cost_guard(self, enumerated_av, monkeypatch):
+        # the cross-check reads b(n) around sites, never at every index
+        horizon = 2 ** 14
+        oracle = SeriesOracle(enumerated_av, horizon)
+        calls = 0
+        exact = vector_module.expansion_coefficient
+
+        def counted(av, n):
+            nonlocal calls
+            calls += 1
+            return exact(av, n)
+
+        monkeypatch.setattr(vector_module, "expansion_coefficient", counted)
+        assert sign_cross_check(enumerated_av, oracle, horizon) == []
+        assert calls < horizon // 8
+
+    @pytest.mark.parametrize("d, p", [(1, 1), (2, 2), (3, 2), (1, 3)])
+    @pytest.mark.parametrize("family", ["one-block", "enumerated", "hand-built"])
+    def test_walk_covers_every_nonzero_step(self, op, budgets, monkeypatch, family, d, p):
+        # every nonzero b(n) of a per-index scan lies in the walked windows
+        av = AssembledVector(SeparationParams(d=d, p=p), op, budgets,
+                             family_blocks(family, budgets))
+        horizon = 2 ** 14
+        support = [n for n in range(1, horizon + 1) if expansion_coefficient(av, n)]
+        assert support
+        oracle = SeriesOracle(av, horizon)
+        walked = set()
+        exact = vector_module.expansion_coefficient
+
+        def recorded(av, n):
+            walked.add(n)
+            return exact(av, n)
+
+        monkeypatch.setattr(vector_module, "expansion_coefficient", recorded)
+        assert sign_cross_check(av, oracle, horizon) == []
+        assert walked.issuperset(support)
 
     def test_horizon_guard(self, one_block_av):
         oracle = SeriesOracle(one_block_av, 100)

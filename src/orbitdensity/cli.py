@@ -40,7 +40,7 @@ from .vector import (
 
 ENV_PREFIX = "ORBITDENSITY_"
 FAMILIES = ("one-block", "enumerated")
-FACT0_RANGE = (0, 12, 65)  # fact0's default a_lo, a_hi, b_max
+FACT0_RANGE = (0, 12, 65)  # fact0's a_lo, a_hi, b_max: 767 rows
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,9 @@ def _write_json(path: Path, payload) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fact0(config: RunConfig, a_lo: int, a_hi: int, b_max: int) -> int:
+def cmd_fact0(config: RunConfig) -> int:
     """Tabulate the selected-scale mass against its residue-class limits."""
-    rows, failures = dyadic.mass_table_rows(a_lo, a_hi, b_max)
+    rows, failures = dyadic.mass_table_rows(*FACT0_RANGE)
     out = _out_dir(config)
     _write_csv(out / "fact0.csv", dyadic.MASS_TABLE_HEADER, rows)
     print(f"fact0: {len(rows)} rows, {failures} failures -> {out / 'fact0.csv'}")
@@ -261,11 +261,11 @@ def cmd_vector(config: RunConfig) -> int:
     lower, upper = vec.predicted_density_limits(av)
 
     approach = []
-    sample_horizon = min(config.horizon, 2 ** 16)
     for level in range(1, min(config.smax, 4) + 1):
-        members = dyadic.site_members(av.params, level, sample_horizon)
-        if not members:
-            continue
+        # the level's first site lies below 2^(min_scale + 4), so no level
+        # passes on zero samples
+        horizon = max(min(config.horizon, 2 ** 16), 2 ** (av.params.min_scale(level) + 4))
+        members = dyadic.site_members(av.params, level, horizon)
         picks = rng.sample(members, min(5, len(members)))
         passed = all(verify_orbit_approach(av, level, n, tail_tol=1e-9)
                      for n in picks)
@@ -320,7 +320,7 @@ def cmd_orbit(config: RunConfig) -> int:
 
 def cmd_all(config: RunConfig) -> int:
     _build_vector(config)  # a bad vector config exits 2 before any stage writes
-    return max(cmd_fact0(config, *FACT0_RANGE), cmd_sets(config), cmd_verify(config),
+    return max(cmd_fact0(config), cmd_sets(config), cmd_verify(config),
                cmd_vector(config), cmd_orbit(config))
 
 
@@ -340,8 +340,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="number of checkpoint horizons (default 9)")
     parser.add_argument("--horizon", type=int,
                         help="caps sets' checkpoints, verify's separation horizon "
-                             "(<= 2^20), vector's samples (<= 2^16) and orbit's scan "
-                             "(<= 2^18), not orbit's density rows (default 2^23)")
+                             "(<= 2^20), vector's samples (<= 2^16, but each level's "
+                             "first sites) and orbit's scan (<= 2^18), not orbit's "
+                             "density rows (default 2^23)")
     parser.add_argument("--series-horizon", dest="series_horizon", type=int,
                         help="series-oracle horizon (default 2^14)")
     parser.add_argument("--family", choices=FAMILIES,
@@ -356,13 +357,8 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact return-time density experiments for weighted shift orbits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fact0 = sub.add_parser("fact0", help="selected-scale mass table and checks")
-    for flag, default in zip(("--a-min", "--a-max", "--b-max"), FACT0_RANGE):
-        fact0.add_argument(flag, type=int, default=default)
-    _add_common(fact0)
-
     for name, help_text in [
+        ("fact0", "selected-scale mass table and checks"),
         ("sets", "site-set density reports"),
         ("verify", "hypothesis suite JSON report"),
         ("vector", "family construction report"),
@@ -373,22 +369,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each entry looks its command up at call time, so a rebound cmd_* is the
-# one that runs.
-_COMMANDS = {
-    "fact0": lambda config, args: cmd_fact0(config, args.a_min, args.a_max, args.b_max),
-    "sets": lambda config, args: cmd_sets(config),
-    "verify": lambda config, args: cmd_verify(config),
-    "vector": lambda config, args: cmd_vector(config),
-    "orbit": lambda config, args: cmd_orbit(config),
-    "all": lambda config, args: cmd_all(config),
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](build_config(args), args)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](build_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,18 +18,20 @@ def run(argv):
     return main(argv)
 
 
+FACT0_ROWS = 767  # 0 <= a <= 12, a < b <= 65
+
+
 class TestFact0:
     def test_pass_and_schema(self, tmp_path):
         out = tmp_path / "out"
-        assert run(["fact0", "--a-min", "5", "--a-max", "5", "--b-max", "65",
-                    "--out", str(out)]) == 0
+        assert run(["fact0", "--out", str(out)]) == 0
         lines = (out / "fact0.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "a,b,b_mod_5,S_num,S_den,limit_num,limit_den,abs_err_float"
-        assert len(lines) == 1 + 60
+        assert len(lines) == 1 + FACT0_ROWS
 
     @pytest.mark.parametrize("sup, limit, failures", [
-        (Fraction(-1), None, 60), (None, Fraction(100), 60),
-        (Fraction(-1), Fraction(100), 120)], ids=["sup", "limit", "both"])
+        (Fraction(-1), None, FACT0_ROWS), (None, Fraction(100), FACT0_ROWS),
+        (Fraction(-1), Fraction(100), 2 * FACT0_ROWS)], ids=["sup", "limit", "both"])
     def test_failed_bound_exits_1(self, tmp_path, capsys, monkeypatch, sup, limit,
                                   failures):
         # a negative supremum or a far-off limit fails every row; a row
@@ -38,10 +40,8 @@ class TestFact0:
             monkeypatch.setattr(dyadic, "MASS_SUP_BOUND", sup)
         if limit is not None:
             monkeypatch.setattr(dyadic, "scale_mass_limit", lambda residue: limit)
-        out = tmp_path / "out"
-        assert run(["fact0", "--a-min", "5", "--a-max", "5", "--b-max", "65",
-                    "--out", str(out)]) == 1
-        assert f"fact0: 60 rows, {failures} failures" in capsys.readouterr().out
+        assert run(["fact0", "--out", str(tmp_path / "out")]) == 1
+        assert f"fact0: {FACT0_ROWS} rows, {failures} failures" in capsys.readouterr().out
 
     def test_mass_off_the_identity_exits_1(self, tmp_path, capsys, monkeypatch):
         # S off by 2^(a-b) stays within a 64 * 2^(a-b) convergence rate; the
@@ -49,13 +49,18 @@ class TestFact0:
         real = dyadic.scale_mass
         monkeypatch.setattr(dyadic, "scale_mass",
                             lambda a, b: real(a, b) - Fraction(2 ** a, 2 ** b))
-        assert run(["fact0", "--a-min", "5", "--a-max", "5", "--b-max", "65",
-                    "--out", str(tmp_path / "out")]) == 1
-        assert "fact0: 60 rows, 60 failures" in capsys.readouterr().out
+        assert run(["fact0", "--out", str(tmp_path / "out")]) == 1
+        assert f"fact0: {FACT0_ROWS} rows, {FACT0_ROWS} failures" in \
+            capsys.readouterr().out
 
     def test_bad_range_is_usage_error(self, tmp_path):
-        assert run(["fact0", "--a-min", "5", "--a-max", "4", "--b-max", "65",
-                    "--out", str(tmp_path)]) == 2
+        # the range is fixed: a range flag is an argparse usage error, and the
+        # range check lives in mass_table_rows
+        with pytest.raises(SystemExit) as exc:
+            run(["fact0", "--a-min", "5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        with pytest.raises(ValueError):
+            dyadic.mass_table_rows(5, 4, 65)
 
 
 class TestSets:
@@ -137,6 +142,16 @@ class TestVectorCommand:
         payload = json.loads((out / "vector_report.json").read_text())
         assert payload["r_values"] == {"1": 1, "2": 0, "3": 0, "4": 0,
                                        "5": 1, "6": 1}
+
+    @pytest.mark.parametrize("flags", [["--p", "15"],
+                                       ["--d", "1000", "--family", "enumerated"]])
+    def test_every_level_gets_samples(self, tmp_path, flags):
+        # levels whose first sites lie above 2^16 still draw samples
+        out = tmp_path / "out"
+        assert run(["vector", "--out", str(out), *flags]) == 0
+        approach = json.loads((out / "vector_report.json").read_text())["approach_checks"]
+        assert [entry["level"] for entry in approach] == [1, 2, 3, 4]
+        assert all(entry["samples"] and entry["pass"] for entry in approach)
 
     @staticmethod
     def plant_level_one_hit(monkeypatch):
@@ -241,6 +256,17 @@ class TestOrbitCommand:
         assert run(["orbit", "--series-horizon", "1024",
                     "--out", str(tmp_path / "out")]) == 1
         assert "disagreements=1 " in capsys.readouterr().out
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("name", ["fact0", "sets", "verify", "vector", "orbit",
+                                      "all"])
+    def test_main_runs_the_rebound_command(self, tmp_path, monkeypatch, name):
+        # main looks cmd_<name> up when it is called, so a rebound one runs
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda config: seen.append(config) or 7)
+        assert run([name, "--out", str(tmp_path / "out")]) == 7
+        assert [config.out for config in seen] == [str(tmp_path / "out")]
 
 
 class TestConfigMerging:

@@ -48,10 +48,9 @@ class RunConfig:
     omega: str = "2"
     space: str = "l2"
     d: int = 1
-    p_override: int | None = None
+    p: int | None = None
     smax: int = 6
     checkpoints: int = 9
-    horizon: int = 2 ** 23
     series_horizon: int = 2 ** 14
     family: str = FAMILIES[0]
     out: str = "out"
@@ -69,15 +68,13 @@ class RunConfig:
             raise ValueError("checkpoints must be >= 2 (one per checkpoint class)")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        first = checkpoint_schedule(self.params(), 1).horizons[0]
-        if self.horizon < first:
-            raise ValueError(f"horizon must be >= {first}, the first checkpoint")
+        self.params()  # SeparationParams rejects a d or p out of range
         # build_level_budgets reads the tail constants of levels 1..smax
         tail_constant(self.operator(), self.smax)
 
     def params(self) -> SeparationParams:
-        if self.p_override is not None:
-            return SeparationParams(d=self.d, p=self.p_override)
+        if self.p is not None:
+            return SeparationParams(d=self.d, p=self.p)
         return SeparationParams.with_min_p(self.d)
 
     def operator(self) -> ShiftOperator:
@@ -108,7 +105,7 @@ def _parse_space(text: str) -> float:
 
 
 # RunConfig's field annotations (strings, by the __future__ import) -> parser
-# of a config-file or environment value; any other field stays a str
+# of a config-file, environment or flag value; any other field stays a str
 _PARSERS = {"int": int, "int | None": int}
 
 
@@ -163,9 +160,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config) if args.config else {}
     values.update(_env_overrides())
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            values[f.name] = value
+        raw = getattr(args, f.name)
+        if raw is not None:
+            values[f.name] = _coerce(f, raw, "--" + f.name.replace("_", "-"))
     return RunConfig(**values)
 
 
@@ -206,7 +203,8 @@ def cmd_sets(config: RunConfig) -> int:
     out = _out_dir(config)
     params = config.params()
     schedule = checkpoint_schedule(params, config.checkpoints)
-    horizons = [n for n in schedule.horizons if n <= config.horizon]
+    horizons = [n for n in schedule.horizons
+                if n <= max(schedule.horizons[0], 2 ** 23)]
     for level in range(1, config.smax + 1):
         report = density_ratios(lambda n: count_sites(params, level, n), horizons)
         _write_csv(out / f"sets_level{level}.csv", report.CSV_HEADER, report.rows())
@@ -225,9 +223,8 @@ def cmd_verify(config: RunConfig) -> int:
     out = _out_dir(config)
     params = config.params()
     max_level = min(config.smax, 4)
-    horizon = min(config.horizon, 2 ** 20)
     reports = [
-        dyadic.verify_separation(params, max_level, horizon),
+        dyadic.verify_separation(params, max_level, 2 ** 20),
         dyadic.verify_checkpoint_gap(params, max_level, min(config.checkpoints, 8)),
         dyadic.verify_counting_bounds(params, min(config.smax, 5), 26),
         dyadic.verify_mass_bound(params, min(config.smax, 3), config.checkpoints),
@@ -264,7 +261,7 @@ def cmd_vector(config: RunConfig) -> int:
     for level in range(1, min(config.smax, 4) + 1):
         # the level's first site lies below 2^(min_scale + 4), so no level
         # passes on zero samples
-        horizon = max(min(config.horizon, 2 ** 16), 2 ** (av.params.min_scale(level) + 4))
+        horizon = max(2 ** 16, 2 ** (av.params.min_scale(level) + 4))
         members = dyadic.site_members(av.params, level, horizon)
         picks = rng.sample(members, min(5, len(members)))
         passed = all(verify_orbit_approach(av, level, n, tail_tol=1e-9)
@@ -305,9 +302,9 @@ def cmd_orbit(config: RunConfig) -> int:
     oracle = SeriesOracle(av, config.series_horizon)
     disagreements = sign_cross_check(av, oracle, config.series_horizon)
 
-    # one scan to the largest checkpoint in range (at least the first); bisect
+    # one scan to the largest checkpoint up to 2^18 (at least the first); bisect
     # counts its members at each scanned checkpoint against the published rows
-    cap = max(schedule.horizons[0], min(config.horizon, 2 ** 18))
+    cap = max(schedule.horizons[0], 2 ** 18)
     scanned = [row for row in experiment.rows if row.horizon <= cap]
     members = return_set(av, scanned[-1].horizon, method="scan").members
     identity_ok = all(bisect_right(members, row.horizon) == row.count for row in scanned)
@@ -332,23 +329,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--omega", help="shift weight as a rational, e.g. 2 or 5/2")
     parser.add_argument("--space", help="l2, c0, or lp:P")
-    parser.add_argument("--d", type=int, help="guard radius (default 1)")
-    parser.add_argument("--p", dest="p_override", type=int,
-                        help="force the alignment exponent")
-    parser.add_argument("--smax", type=int, help="number of levels (default 6)")
-    parser.add_argument("--checkpoints", type=int,
-                        help="number of checkpoint horizons (default 9)")
-    parser.add_argument("--horizon", type=int,
-                        help="caps sets' checkpoints, verify's separation horizon "
-                             "(<= 2^20), vector's samples (<= 2^16, but each level's "
-                             "first sites) and orbit's scan (<= 2^18), not orbit's "
-                             "density rows (default 2^23)")
-    parser.add_argument("--series-horizon", dest="series_horizon", type=int,
-                        help="series-oracle horizon (default 2^14)")
-    parser.add_argument("--family", choices=FAMILIES,
-                        help=f"coefficient family (default {FAMILIES[0]})")
+    parser.add_argument("--d", help="guard radius (default 1)")
+    parser.add_argument("--p", help="force the alignment exponent")
+    parser.add_argument("--smax", help="number of levels (default 6)")
+    parser.add_argument("--checkpoints", help="number of checkpoint horizons (default 9)")
+    parser.add_argument("--series-horizon", help="series-oracle horizon (default 2^14)")
+    parser.add_argument("--family", help=f"coefficient family: {' or '.join(FAMILIES)} "
+                                         f"(default {FAMILIES[0]})")
     parser.add_argument("--out", help="output directory (default out)")
-    parser.add_argument("--seed", type=int, help="seed for sampled sweeps")
+    parser.add_argument("--seed", help="seed for sampled sweeps")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ import pytest
 
 from orbitdensity import cli, dyadic
 from orbitdensity import vector as vector_module
-from orbitdensity.cli import RunConfig, load_config_file, main
+from orbitdensity.cli import RunConfig, build_config, load_config_file, main, make_parser
 from orbitdensity.scalars import IMAG_UNIT, ONE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -280,19 +280,18 @@ class TestConfigMerging:
 
     def test_config_file_values_take_field_types(self, tmp_path):
         # one valid value per RunConfig field, each parsed to its annotated type
-        lines = {"omega": "5/2", "space": "lp:3", "d": "2", "p_override": "3",
-                 "smax": "4", "checkpoints": "5", "horizon": "4096",
-                 "series_horizon": "1024", "family": "enumerated",
-                 "out": "results", "seed": "7"}
-        types = {"omega": str, "space": str, "d": int, "p_override": int,
-                 "smax": int, "checkpoints": int, "horizon": int,
-                 "series_horizon": int, "family": str, "out": str, "seed": int}
+        lines = {"omega": "5/2", "space": "lp:3", "d": "2", "p": "3",
+                 "smax": "4", "checkpoints": "5", "series_horizon": "1024",
+                 "family": "enumerated", "out": "results", "seed": "7"}
+        types = {"omega": str, "space": str, "d": int, "p": int,
+                 "smax": int, "checkpoints": int, "series_horizon": int,
+                 "family": str, "out": str, "seed": int}
         assert set(lines) == {f.name for f in fields(RunConfig)}
         config = tmp_path / "run.cfg"
         config.write_text("".join(f"{key}={value}\n" for key, value in lines.items()))
         values = load_config_file(config)
         assert {key: type(value) for key, value in values.items()} == types
-        assert values["p_override"] == 3
+        assert values["p"] == 3
         RunConfig(**values)
 
     def test_config_file_parse_error_names_key_and_line(self, tmp_path, capsys):
@@ -309,6 +308,33 @@ class TestConfigMerging:
         assert run(["all", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ORBITDENSITY_SMAX: ")
         assert not out.exists()
+
+    def test_flag_parse_error_names_flag(self, tmp_path, capsys):
+        # a flag value takes the same parse path as a file or environment value
+        out = tmp_path / "out"
+        assert run(["vector", "--smax", "x", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --smax: ")
+        assert not out.exists()
+
+    def test_unknown_family_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["vector", "--family", "foo", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown family 'foo'\n"
+        assert not out.exists()
+
+    def test_one_name_per_setting(self, tmp_path, monkeypatch):
+        # --p, p= and ORBITDENSITY_P all set RunConfig.p, in that precedence
+        config = tmp_path / "run.cfg"
+        config.write_text("p=3\n")
+
+        def resolved(*flags):
+            argv = ["verify", "--config", str(config), *flags]
+            return build_config(make_parser().parse_args(argv)).p
+
+        assert resolved() == 3
+        monkeypatch.setenv("ORBITDENSITY_P", "4")
+        assert resolved() == 4
+        assert resolved("--p", "5") == 5
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -339,23 +365,37 @@ class TestConfigMerging:
 
 class TestInvalidConfig:
     @pytest.mark.parametrize("flags", [
-        ["--horizon", "-5"],
         ["--checkpoints", "1"],
         ["--omega", "1/0"],
         ["--d", "0"],
         ["--omega", "1.0000000000000000001"],
-        ["--horizon", "32"],
         ["--omega", "1e400"],
         ["--smax", "1030"],
         ["--p", "0"],
-    ], ids=["horizon-negative", "one-checkpoint", "omega-zero-denominator", "d-zero",
-            "omega-float-is-one", "horizon-below-first-checkpoint",
-            "omega-float-overflow", "smax-beyond-float-range", "p-inadmissible"])
+    ], ids=["one-checkpoint", "omega-zero-denominator", "d-zero",
+            "omega-float-is-one", "omega-float-overflow", "smax-beyond-float-range",
+            "p-inadmissible"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fact0", "sets", "verify"])
+    @pytest.mark.parametrize("flags", [["--d", "0"], ["--p", "-1"]],
+                             ids=["d-zero", "p-negative"])
+    def test_bad_params_rejected_by_every_command(self, tmp_path, capsys, command, flags):
+        # the commands that build no vector still validate d and p up front
+        out = tmp_path / "out"
+        assert run([command, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_retired_horizon_flag(self, tmp_path):
+        # each stage reads its own fixed depth; --horizon is no flag
+        with pytest.raises(SystemExit) as exc:
+            run(["orbit", "--horizon", "8388608", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
     def test_smax_float_range_edge(self):
         # the last level read is smax itself: eps(1023) underflows to 0.0
@@ -364,7 +404,8 @@ class TestInvalidConfig:
             RunConfig(smax=1024)
 
     @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach", "smax=1030",
-                                      "p_override=0", "tail_tol=1e-12"])
+                                      "p=0", "tail_tol=1e-12", "p_override=3",
+                                      "horizon=8388608"])
     def test_config_file_value_checked_before_any_stage(self, tmp_path, line):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
@@ -383,8 +424,9 @@ class TestInvalidConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("name, value", [("ORBITDENSITY_SMAXX", "0"),
-                                             ("ORBITDENSITY_TAIL_TOL", "nan")],
-                             ids=["misspelled", "removed-key"])
+                                             ("ORBITDENSITY_TAIL_TOL", "nan"),
+                                             ("ORBITDENSITY_HORIZON", "8388608")],
+                             ids=["misspelled", "removed-key", "retired-horizon"])
     def test_unknown_env_variable(self, tmp_path, capsys, monkeypatch, name, value):
         # a variable that names no config key exits 2, as an unknown key does
         monkeypatch.setenv(name, value)
@@ -405,6 +447,13 @@ class TestAllCommand:
         found = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                  for path in out.iterdir()}
         assert found == expected["headline"][family]
+
+    @pytest.mark.parametrize("command", ["sets", "orbit"])
+    def test_first_d_with_p_19(self, tmp_path, command):
+        # p = 19 puts the first checkpoint at 2^26; no second flag is needed
+        assert dyadic.SeparationParams.with_min_p(524286).p == 19
+        assert run([command, "--d", "524286", "--series-horizon", "1024",
+                    "--out", str(tmp_path / "out")]) == 0
 
     def test_small_smax(self, tmp_path):
         # any smax >= 1 gets a budget certificate

@@ -1,6 +1,6 @@
 """Batch experiment runner.
 
-Subcommands: fact0, sets, verify, vector, orbit, all.  Configuration merges,
+Commands: fact0, sets, verify, vector, orbit, all.  Configuration merges,
 in increasing precedence: built-in defaults, a flat key=value config file,
 ORBITDENSITY_* environment variables, command-line flags.  Every command is
 deterministic given its configuration and exits 0 exactly when all enabled
@@ -40,7 +40,6 @@ from .vector import (
 
 ENV_PREFIX = "ORBITDENSITY_"
 FAMILIES = ("one-block", "enumerated")
-FACT0_RANGE = (0, 12, 65)  # fact0's a_lo, a_hi, b_max: 767 rows
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,14 @@ _PARSERS = {"int": int, "int | None": int}
 
 
 def _coerce(field: Field, raw: str, where: str):
-    """Parse ``raw`` for ``field``; a bad value names ``where`` it came from."""
+    """Parse ``raw`` for ``field`` and run the field's own RunConfig checks;
+    a bad value names ``where`` it came from."""
     try:
-        return _PARSERS.get(field.type, str)(raw)
+        value = _PARSERS.get(field.type, str)(raw)
+        RunConfig(**{field.name: value})
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    return value
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -191,7 +193,7 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_fact0(config: RunConfig) -> int:
     """Tabulate the selected-scale mass against its residue-class limits."""
-    rows, failures = dyadic.mass_table_rows(*FACT0_RANGE)
+    rows, failures = dyadic.mass_table_rows()
     out = _out_dir(config)
     _write_csv(out / "fact0.csv", dyadic.MASS_TABLE_HEADER, rows)
     print(f"fact0: {len(rows)} rows, {failures} failures -> {out / 'fact0.csv'}")
@@ -325,42 +327,28 @@ def cmd_all(config: RunConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--omega", help="shift weight as a rational, e.g. 2 or 5/2")
-    parser.add_argument("--space", help="l2, c0, or lp:P")
-    parser.add_argument("--d", help="guard radius (default 1)")
-    parser.add_argument("--p", help="force the alignment exponent")
-    parser.add_argument("--smax", help="number of levels (default 6)")
-    parser.add_argument("--checkpoints", help="number of checkpoint horizons (default 9)")
-    parser.add_argument("--series-horizon", help="series-oracle horizon (default 2^14)")
-    parser.add_argument("--family", help=f"coefficient family: {' or '.join(FAMILIES)} "
-                                         f"(default {FAMILIES[0]})")
-    parser.add_argument("--out", help="output directory (default out)")
-    parser.add_argument("--seed", help="seed for sampled sweeps")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main prints it as its one error: line
+        raise ValueError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbitdensity",
-        description="Exact return-time density experiments for weighted shift orbits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("fact0", "selected-scale mass table and checks"),
-        ("sets", "site-set density reports"),
-        ("verify", "hypothesis suite JSON report"),
-        ("vector", "family construction report"),
-        ("orbit", "density experiment and cross-checks"),
-        ("all", "run every command"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text))
+    """One parser: the command, --config, and one --<name> flag per
+    RunConfig field, parsed later by _coerce like a file or environment value."""
+    parser = _Parser(prog="orbitdensity", allow_abbrev=False,
+                     description="Exact return-time density experiments for "
+                                 "weighted shift orbits.")
+    parser.add_argument("command",
+                        choices=("fact0", "sets", "verify", "vector", "orbit", "all"))
+    parser.add_argument("--config", help="flat key=value config file")
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), help=f"default: {f.default}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         # looked up at call time, so a rebound cmd_* is the one that runs
         return globals()[f"cmd_{args.command}"](build_config(args))
     except (ValueError, OSError) as exc:

@@ -218,20 +218,19 @@ def scale_mass_limit(residue: int) -> Fraction:
     return _MASS_LIMITS[residue]
 
 
-def mass_table_rows(a_lo: int, a_hi: int, b_max: int) -> tuple[list[tuple], int]:
-    """CSV rows (a, b, b_mod_5, S_num, S_den, limit_num, limit_den, abs_err_float)
-    and how many exact checks they fail, S <= ``MASS_SUP_BOUND`` and the identity
+def mass_table_rows() -> tuple[list[tuple], int]:
+    """fact0's table over 0 <= a <= 12 and a < b <= 65 (767 rows): CSV rows
+    (a, b, b_mod_5, S_num, S_den, limit_num, limit_den, abs_err_float) and how
+    many exact checks they fail, S <= ``MASS_SUP_BOUND`` and the identity
     |S - limit| = 2^(a-b) * L(a mod 5), so a row failing both counts twice."""
-    if a_lo < 0 or a_hi < a_lo or b_max <= a_hi:
-        raise ValueError("need 0 <= a_lo <= a_hi < b_max")
     # the checks cross-multiply numerators and (positive) denominators;
     # |S - limit| = diff / (s_den * l_den)
     rows = []
     failures = 0
-    for a in range(a_lo, a_hi + 1):
+    for a in range(13):
         tail = scale_mass_limit(a % SCALE_PERIOD)  # |S - limit| = tail * 2^(a-b)
         t_num, t_den = tail.numerator, tail.denominator
-        for b in range(a + 1, b_max + 1):
+        for b in range(a + 1, 66):
             s = scale_mass(a, b)
             limit = scale_mass_limit(b % SCALE_PERIOD)
             sup = MASS_SUP_BOUND

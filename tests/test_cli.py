@@ -18,6 +18,11 @@ def run(argv):
     return main(argv)
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 FACT0_ROWS = 767  # 0 <= a <= 12, a < b <= 65
 
 
@@ -53,14 +58,12 @@ class TestFact0:
         assert f"fact0: {FACT0_ROWS} rows, {FACT0_ROWS} failures" in \
             capsys.readouterr().out
 
-    def test_bad_range_is_usage_error(self, tmp_path):
-        # the range is fixed: a range flag is an argparse usage error, and the
-        # range check lives in mass_table_rows
-        with pytest.raises(SystemExit) as exc:
-            run(["fact0", "--a-min", "5", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        with pytest.raises(ValueError):
-            dyadic.mass_table_rows(5, 4, 65)
+    def test_bad_range_is_usage_error(self, tmp_path, capsys):
+        # the range is fixed in mass_table_rows: a range flag is a usage error
+        out = tmp_path / "out"
+        assert run(["fact0", "--a-min", "5", "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestSets:
@@ -294,47 +297,67 @@ class TestConfigMerging:
         assert values["p"] == 3
         RunConfig(**values)
 
+    # an int that does not parse, and an omega or space that parses only
+    # when RunConfig builds the operator; each names where it came from
+    BAD_VALUES = [("smax", "x"), ("omega", "abc"), ("space", "lp:zz")]
+
     def test_config_file_parse_error_names_key_and_line(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("# manifest\nsmax=x\n")
         out = tmp_path / "out"
-        assert run(["all", "--config", str(config), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {config}:2: smax: ")
-        assert not out.exists()
+        for key, value in self.BAD_VALUES:
+            config.write_text(f"# manifest\n{key}={value}\n")
+            assert run(["all", "--config", str(config), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {config}:2: {key}: ")
+            assert not out.exists()
 
     def test_env_parse_error_names_variable(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ORBITDENSITY_SMAX", "x")
         out = tmp_path / "out"
-        assert run(["all", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ORBITDENSITY_SMAX: ")
-        assert not out.exists()
+        for key, value in self.BAD_VALUES:
+            name = "ORBITDENSITY_" + key.upper()
+            with monkeypatch.context() as env:
+                env.setenv(name, value)
+                assert run(["all", "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {name}: ")
+            assert not out.exists()
 
     def test_flag_parse_error_names_flag(self, tmp_path, capsys):
         # a flag value takes the same parse path as a file or environment value
         out = tmp_path / "out"
-        assert run(["vector", "--smax", "x", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: --smax: ")
-        assert not out.exists()
+        for key, value in self.BAD_VALUES:
+            assert run(["vector", f"--{key}", value, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: --{key}: ")
+            assert not out.exists()
 
     def test_unknown_family_flag(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["vector", "--family", "foo", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: unknown family 'foo'\n"
+        assert capsys.readouterr().err == "error: --family: unknown family 'foo'\n"
         assert not out.exists()
 
     def test_one_name_per_setting(self, tmp_path, monkeypatch):
-        # --p, p= and ORBITDENSITY_P all set RunConfig.p, in that precedence
+        # each field's flag, file key and ORBITDENSITY_* variable set it, in
+        # that precedence: a field missing a name fails here
+        values = {"omega": ("3", "5/2", "7/2"), "space": ("c0", "lp:3", "lp:4"),
+                  "d": ("2", "3", "4"), "p": ("3", "4", "5"),
+                  "smax": ("2", "3", "4"), "checkpoints": ("3", "4", "5"),
+                  "series_horizon": ("1024", "2048", "4096"),
+                  "family": ("enumerated", "one-block", "enumerated"),
+                  "out": ("a", "b", "c"), "seed": ("1", "2", "3")}
+        assert set(values) == {f.name for f in fields(RunConfig)}
         config = tmp_path / "run.cfg"
-        config.write_text("p=3\n")
+        for name, (in_file, in_env, in_flag) in values.items():
+            config.write_text(f"{name}={in_file}\n")
 
-        def resolved(*flags):
-            argv = ["verify", "--config", str(config), *flags]
-            return build_config(make_parser().parse_args(argv)).p
+            def resolved(*flags):
+                argv = ["verify", "--config", str(config), *flags]
+                return str(getattr(build_config(make_parser().parse_args(argv)), name))
 
-        assert resolved() == 3
-        monkeypatch.setenv("ORBITDENSITY_P", "4")
-        assert resolved() == 4
-        assert resolved("--p", "5") == 5
+            with monkeypatch.context() as env:
+                assert resolved() == in_file, name
+                env.setenv("ORBITDENSITY_" + name.upper(), in_env)
+                assert resolved() == in_env, name
+                flag = "--" + name.replace("_", "-")
+                assert resolved(flag, in_flag) == in_flag, name
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -391,11 +414,23 @@ class TestInvalidConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_retired_horizon_flag(self, tmp_path):
+    def test_retired_horizon_flag(self, tmp_path, capsys):
         # each stage reads its own fixed depth; --horizon is no flag
-        with pytest.raises(SystemExit) as exc:
-            run(["orbit", "--horizon", "8388608", "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
+        out = tmp_path / "out"
+        assert run(["orbit", "--horizon", "8388608", "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["foo"], ["orbit", "--fam", "enumerated"],
+                                      ["orbit", "--d"]],
+                             ids=["no-command", "unknown-command", "abbreviated-flag",
+                                  "flag-without-value"])
+    def test_usage_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        # argparse's own errors take main's error: path, not SystemExit
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        assert_one_error_line(capsys)
+        assert not any(tmp_path.iterdir())
 
     def test_smax_float_range_edge(self):
         # the last level read is smax itself: eps(1023) underflows to 0.0

@@ -132,7 +132,7 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in first_line:

@@ -75,12 +75,13 @@ def tail_constant(op: ShiftOperator, level: int) -> float:
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    w = op.weight_float
-    try:
-        head = w ** -(2 ** level)
-    except OverflowError:
+    # 2^level converts to a float exactly when level < 1024; checking the
+    # level first never builds the exact int of a huge level
+    if level >= 1024:
         raise ValueError(f"tail constant at level {level}: 2^{level} exceeds the "
-                         "float range") from None
+                         "float range")
+    w = op.weight_float
+    head = w ** -(2 ** level)
     if op.is_sup_space:
         return head
     p = op.space_exponent

@@ -353,6 +353,11 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     that offset is one of the level's positive offsets, so the walk
     generates n.  Every walked n is confirmed by ``expansion_coefficient``.
     Both routes are exact and must agree (the suite compares them).
+
+    A member at offset 0 is the walked site's own int object, not a copy,
+    so at depth the return set adds no second copy of the site list's
+    integers (level 1 holds most sites and always has offset 0 positive).
+    It is confirmed like every other candidate.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -373,7 +378,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
             continue
         for k in sites(level, horizon + block.radius):
             for j in offsets:
-                n = k - j
+                n = k - j if j else k  # at offset 0 keep the site's own int
                 if 1 <= n <= horizon and expansion_coefficient(av, n).re_positive():
                     found.append(n)
     found.sort()

@@ -359,6 +359,16 @@ class TestConfigMerging:
                 flag = "--" + name.replace("_", "-")
                 assert resolved(flag, in_flag) == in_flag, name
 
+    def test_config_key_has_one_spelling(self, tmp_path, capsys):
+        # the key is the field's name; its flag alone is spelt with hyphens
+        config = tmp_path / "run.cfg"
+        config.write_text("series-horizon=1024\n")
+        out = tmp_path / "out"
+        assert run(["orbit", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {config}:1: unknown key 'series-horizon'\n"
+        assert not out.exists()
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("nonsense=1\n")
@@ -394,10 +404,11 @@ class TestInvalidConfig:
         ["--omega", "1.0000000000000000001"],
         ["--omega", "1e400"],
         ["--smax", "1030"],
+        ["--smax", "100000000"],
         ["--p", "0"],
     ], ids=["one-checkpoint", "omega-zero-denominator", "d-zero",
             "omega-float-is-one", "omega-float-overflow", "smax-beyond-float-range",
-            "p-inadmissible"])
+            "smax-far-beyond-float-range", "p-inadmissible"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2

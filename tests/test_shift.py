@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,17 @@ class TestTailConstant:
         assert tail_constant(op, 1023) == 0.0
         with pytest.raises(ValueError, match="level 1024"):
             tail_constant(op, 1024)
+
+    def test_huge_level_rejected_without_its_power(self, op):
+        # the exact 2^(10^8) alone would take 12.5 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="level 100000000"):
+                tail_constant(op, 10 ** 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestVectorNorm:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -396,10 +397,13 @@ class TestReturnSet:
         expected = [n for n in range(1, horizon + 1)
                     if expansion_coefficient(av, n).re > 0]
         assert expected
-        # horizons just above early members leave their sites outside [1, horizon]
+        # horizons just above early members leave their sites outside [1, horizon];
+        # the site route is held to the same reference (the hand-built level 3
+        # mixes offset 0 with offsets -8 and 8)
         for cut in [n + 1 for n in expected[:16]] + [horizon]:
-            assert list(return_set(av, cut, method="scan").members) == \
-                [n for n in expected if n <= cut]
+            for method in ("scan", "sites"):
+                assert list(return_set(av, cut, method=method).members) == \
+                    [n for n in expected if n <= cut], method
 
     def test_scan_needs_no_site_lists(self, enumerated_av, monkeypatch):
         # the scan is the modular route; it must not lean on the site lists
@@ -428,6 +432,19 @@ class TestReturnSet:
         monkeypatch.setattr(vector_module, "expansion_coefficient", counted)
         assert return_set(enumerated_av, horizon, method="scan").members
         assert calls < horizon // 8
+
+    @pytest.mark.parametrize("family", ["one_block_av", "enumerated_av"])
+    def test_site_route_holds_no_second_copy(self, request, family):
+        # offset-0 members are the site list's own ints, so beyond what the
+        # returned set keeps the walk holds little more than list pointers
+        av = request.getfixturevalue(family)
+        tracemalloc.start()
+        try:
+            members = return_set(av, 2 ** 18, method="sites").members
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - kept) / len(members) < 16
 
     def test_members_near_sites(self, enumerated_av):
         rs = return_set(enumerated_av, 2 ** 13, method="sites")

@@ -9,13 +9,11 @@ read liminf and limsup *estimates* off the rows they trust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Exact counting ratios count(n)/n of a set at increasing checkpoints n.
 
     No finite sample certifies a liminf or limsup, so the report holds the

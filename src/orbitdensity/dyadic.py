@@ -32,9 +32,10 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
+
+from .scalars import Frozen
 
 SCALE_PERIOD = 5
 SELECTED_RESIDUES = (0, 2)
@@ -71,8 +72,7 @@ def min_alignment_exponent(d: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class SeparationParams:
+class SeparationParams(Frozen):
     """Global constants of the construction.
 
     ``d`` is the guard radius around the functional's support and ``p`` the
@@ -82,14 +82,15 @@ class SeparationParams:
     can be fed to the verifiers, which then report the failing condition.
     """
 
-    d: int = 1
-    p: int = 1
+    __slots__ = ("d", "p")
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(self, d: int = 1, p: int = 1) -> None:
+        if d < 1:
             raise ValueError("d must be >= 1")
-        if self.p < 0:
+        if p < 0:
             raise ValueError("p must be >= 0")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def with_min_p(cls, d: int) -> "SeparationParams":
@@ -252,8 +253,7 @@ MASS_TABLE_HEADER = ("a", "b", "b_mod_5", "S_num", "S_den",
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Checkpoints:
+class Checkpoints(NamedTuple):
     """Horizon subsequence 2^(q+1) over selected exponents q >= p+4.
 
     The exponents q run through the selected scales; since selected scales
@@ -309,8 +309,7 @@ def is_checkpoint_horizon(params: SeparationParams, horizon: int) -> bool:
 # Verification reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one verification run; a failure is data, not an exception."""
 
     check: str

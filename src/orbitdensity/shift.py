@@ -24,26 +24,24 @@ used downstream is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .scalars import GaussianRational
+from .scalars import Frozen, GaussianRational
 
 
 class NormCertificateError(RuntimeError):
     """Raised when a norm is requested without a usable decay certificate."""
 
 
-@dataclass(frozen=True)
-class ShiftOperator:
+class ShiftOperator(Frozen):
     """Backward shift scaled by an exact rational weight > 1."""
 
-    weight: Fraction = Fraction(2)
-    space_exponent: float = 2.0
+    __slots__ = ("weight", "space_exponent")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", Fraction(self.weight))
+    def __init__(self, weight: Fraction = Fraction(2), space_exponent: float = 2.0) -> None:
+        object.__setattr__(self, "weight", Fraction(weight))
+        object.__setattr__(self, "space_exponent", space_exponent)
         try:
             weight_float = self.weight_float
         except OverflowError:  # float() of a huge Fraction raises, not inf
@@ -88,8 +86,7 @@ def tail_constant(op: ShiftOperator, level: int) -> float:
     return head * (1.0 - w ** -p) ** (-1.0 / p)
 
 
-@dataclass(frozen=True)
-class NormEstimate:
+class NormEstimate(NamedTuple):
     """Certified norm bracket: the true norm lies in [value, value + tail_bound]."""
 
     value: float

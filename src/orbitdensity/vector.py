@@ -20,9 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .dyadic import (
     SeparationParams,
@@ -37,11 +36,10 @@ from .dyadic import (
     site_members,
 )
 from .densities import density_ratios
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import Frozen, GaussianRational, ZERO, ONE
 from .shift import ShiftOperator, tail_constant, vector_norm
 
-@dataclass(frozen=True)
-class LevelBudgets:
+class LevelBudgets(NamedTuple):
     """Budgets c(s) = s and the tail constants eps(1..max_level), each computed
     once.  For every w > 1 eps falls doubly exponentially, so c(s) -> infinity,
     eps(s) * sum_{s'<s} c(s') -> 0 and sum c(s) * eps(s) converges."""
@@ -71,23 +69,22 @@ def build_level_budgets(op: ShiftOperator, max_level: int) -> LevelBudgets:
     return LevelBudgets(tuple(tail_constant(op, s) for s in range(1, max_level + 1)))
 
 
-@dataclass(frozen=True)
-class CoefficientBlock:
+class CoefficientBlock(Frozen):
     """One level's exact coefficients a_j, |j| <= 2^level; the block itself
     enforces the level budget |a_j| <= c(level) (``LevelBudgets.budget``)."""
 
-    level: int
-    coeffs: Mapping[int, GaussianRational]
+    __slots__ = ("level", "coeffs")
 
-    def __post_init__(self) -> None:
-        radius = 2 ** self.level
-        bound = LevelBudgets.budget(self.level)
-        table = {j: a for j, a in dict(self.coeffs).items() if a}
+    def __init__(self, level: int, coeffs: Mapping[int, GaussianRational]) -> None:
+        radius = 2 ** level
+        bound = LevelBudgets.budget(level)
+        table = {j: a for j, a in dict(coeffs).items() if a}
         for j, a in table.items():
             if abs(j) > radius:
                 raise ValueError(f"offset {j} outside radius {radius}")
             if a.abs_sq() > bound * bound:
                 raise ValueError(f"coefficient at offset {j} exceeds budget {bound}")
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "coeffs", table)
 
     def a(self, offset: int) -> GaussianRational:
@@ -327,8 +324,7 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ReturnSet:
+class ReturnSet(NamedTuple):
     """Return times into the open half-space, materialized up to a horizon."""
 
     members: tuple[int, ...]
@@ -467,8 +463,7 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
     return estimate.upper <= approach_bound(av, level) + tail_tol
 
 
-@dataclass(frozen=True)
-class CheckpointRow:
+class CheckpointRow(NamedTuple):
     position: int
     exponent: int
     horizon: int
@@ -482,8 +477,7 @@ class CheckpointRow:
 TAIL_ROWS = 6
 
 
-@dataclass(frozen=True)
-class DensityExperiment:
+class DensityExperiment(NamedTuple):
     """Exact return-set ratios at checkpoints, split by checkpoint class.
 
     The separation flag is judged on the last six rows (``TAIL_ROWS``; all

@@ -56,7 +56,6 @@ from .vector import (
     sign_cross_check,
     site_hit_count,
     verify_orbit_approach,
-    zero_block,
 )
 
 __version__ = "0.1.0"

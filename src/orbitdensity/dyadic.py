@@ -125,7 +125,7 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
     Sites are the multiples of the alignment modulus m whose distance to the
     strip's complement is >= m.  Both strip endpoints are multiples of m for
     admissible scales, so the sites are exactly lo+m, lo+2m, ..., hi-m and
-    the count equals width/m - 1, inside [width/m - 2, width/m] always.
+    the count equals width/m - 1.
     """
     if scale < params.min_scale(level):
         raise ValueError(
@@ -410,16 +410,18 @@ def verify_checkpoint_gap(params: SeparationParams, max_level: int,
 
 def verify_counting_bounds(params: SeparationParams, max_level: int,
                            max_scale: int) -> CheckReport:
-    """Per-strip site counts inside [2^(j-2s-p-1) - 2, 2^(j-2s-p-1)]."""
+    """Per-strip site counts, each exactly 2^(j-2s-p-1) - 1 (``strip_sites``)."""
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     range_ = {"max_level": max_level, "max_scale": max_scale}
     for level in range(1, max_level + 1):
         for scale in range(params.min_scale(level), max_scale + 1):
             count = len(strip_sites(params, level, scale))
-            expected = 2 ** (scale - params.min_scale(level) + 1)
-            if not expected - 2 <= count <= expected:
+            required = 2 ** (scale - params.min_scale(level) + 1) - 1
+            if count != required:
                 return _report("counting_bounds", params, range_, {
                     "condition": "site_count", "level": level, "scale": scale,
-                    "count": count, "required": [expected - 2, expected]})
+                    "count": count, "required": required})
     return _report("counting_bounds", params, range_)
 
 
@@ -428,6 +430,8 @@ def verify_mass_bound(params: SeparationParams, max_level: int,
     """Site-set counting ratios at the first ``count`` checkpoints stay under
     MASS_SUP_BOUND * 2^-ms, ms = ``params.min_scale(level)``: at 2^(q+1) a ratio
     is exactly 2^-ms * S(ms-1, q) - N / 2^(q+1), N = #selected scales in [ms, q]."""
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     schedule = checkpoint_schedule(params, count)
     range_ = {"max_level": max_level, "checkpoints": count}
     for level in range(1, max_level + 1):
@@ -448,6 +452,8 @@ def verify_class_limits(params: SeparationParams, max_level: int) -> CheckReport
     falls short of it by exactly (L((ms-1) mod 5) + N) / 2^(q+1) (see
     ``verify_mass_bound``), at most 2^(ms-q-1) * (40/31 + N) / (36/31) of it:
     below 1.8% at q - ms = 7, where N <= 4, and less beyond; up to 2.5% at 6."""
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     q0 = max(20, params.min_scale(max_level) + 7)
     schedule = checkpoints_between(params, q0, q0 + 12)
     range_ = {"max_level": max_level,

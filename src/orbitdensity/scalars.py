@@ -116,4 +116,3 @@ class GaussianRational(Frozen):
 
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
-IMAG_UNIT = GaussianRational(Fraction(0), Fraction(1))

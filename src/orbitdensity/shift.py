@@ -30,10 +30,6 @@ from typing import Callable, NamedTuple, Optional
 from .scalars import Frozen, GaussianRational
 
 
-class NormCertificateError(RuntimeError):
-    """Raised when a norm is requested without a usable decay certificate."""
-
-
 class ShiftOperator(Frozen):
     """Backward shift scaled by an exact rational weight > 1."""
 
@@ -126,18 +122,17 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
     that remainder is the estimate's tail bound.  A zero coordinate is
     skipped before its squared modulus is formed: it would only add 0.0 to
     the sum or take a max with it, so the norm is the same bit for bit.
-    Raises NormCertificateError when an unbounded range has no usable
-    certificate.
+    Raises ValueError when an unbounded range has no usable certificate.
     """
     p = op.space_exponent
     sup = op.is_sup_space
     tail = 0.0
     if stop is None:
         if decay is None:
-            raise NormCertificateError("unbounded range without decay certificate")
+            raise ValueError("unbounded range without decay certificate")
         cap, ratio = decay
         if not 0.0 <= ratio < 1.0:
-            raise NormCertificateError("decay ratio must lie in [0, 1)")
+            raise ValueError("decay ratio must lie in [0, 1)")
         factor = 1.0 if sup else (1.0 - ratio ** p) ** (-1.0 / p)
         stop = _tail_cutoff(cap, ratio, factor, start, tail_tol) + 1
         tail = cap * factor * ratio ** stop

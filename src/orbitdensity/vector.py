@@ -18,8 +18,6 @@ measured by ``density_experiment``.
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -101,15 +99,6 @@ class CoefficientBlock(Frozen):
     def positive_offsets(self) -> list[int]:
         """Offsets whose coefficient has strictly positive real part, sorted."""
         return sorted(j for j, a in self.coeffs.items() if a.re_positive())
-
-    def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(math.sqrt(float(a.abs_sq())) for a in self.coeffs.values())
-
-
-def zero_block(level: int) -> CoefficientBlock:
-    return CoefficientBlock(level=level, coeffs={})
 
 
 def one_block_family(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
@@ -212,7 +201,7 @@ class AssembledVector:
                 raise ValueError(f"block level {level} outside 1..{self.max_level}")
             if block.level != level:
                 raise ValueError("block level mismatch")
-        self.blocks = {level: blocks[level] if level in blocks else zero_block(level)
+        self.blocks = {level: blocks[level] if level in blocks else CoefficientBlock(level, {})
                        for level in range(1, self.max_level + 1)}
 
         # hot-path data for coefficient lookups: (level, -modulus, radius,
@@ -227,10 +216,6 @@ class AssembledVector:
     @property
     def active_levels(self) -> list[int]:
         return [level for level, block in self.blocks.items() if not block.is_zero]
-
-    def coefficient_cap(self) -> float:
-        """Largest coefficient modulus over all blocks (0.0 if all zero)."""
-        return max((block.max_abs() for block in self.blocks.values()), default=0.0)
 
     def hit_counts(self) -> dict[int, int]:
         """Per-level count of offsets with positive real part."""
@@ -350,6 +335,11 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     generates n.  Every walked n is confirmed by ``expansion_coefficient``.
     Both routes are exact and must agree (the suite compares them).
 
+    No member is generated twice: admissible parameters keep the placed
+    windows disjoint (``AssembledVector``), so each n comes from exactly one
+    (level, site, offset).  An overlap would list a shared n twice, not merge
+    it, and so fail the identity with ``checkpoint_count``.
+
     A member at offset 0 is the walked site's own int object, not a copy,
     so at depth the return set adds no second copy of the site list's
     integers (level 1 holds most sites and always has offset 0 positive).
@@ -378,10 +368,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
                 if 1 <= n <= horizon and expansion_coefficient(av, n).re_positive():
                     found.append(n)
     found.sort()
-    # keep each n that differs from its predecessor; compress and map run in C
-    members = tuple(itertools.compress(
-        found, map(operator.ne, found, itertools.chain((None,), found))))
-    return ReturnSet(members=members)
+    return ReturnSet(members=tuple(found))
 
 
 def checkpoint_count(av: AssembledVector, horizon: int) -> int:
@@ -444,12 +431,12 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
     coordinate where b(n+m) and a(-m) are both zero is ``ZERO`` without
     forming the difference, and ``vector_norm`` skips it.
     """
-    params = av.params
-    if not in_site_set(params, level, n):
+    bound = approach_bound(av, level)  # checks 1 <= level <= max_level
+    if not in_site_set(av.params, level, n):
         raise ValueError(f"{n} is not a level-{level} site")
     block = av.blocks[level]
     w = av.op.weight
-    cap = av.coefficient_cap() + block.max_abs()
+    cap = av.max_level + level  # |b| <= c(max_level), |a| <= c(level), c(s) = s
 
     def coeff(m: int) -> GaussianRational:
         b, a = expansion_coefficient(av, n + m), block.a(-m)
@@ -460,7 +447,7 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
 
     estimate = vector_norm(av.op, coeff, 0, decay=(cap, 1.0 / av.op.weight_float),
                            tail_tol=min(tail_tol / 2, 1e-12))
-    return estimate.upper <= approach_bound(av, level) + tail_tol
+    return estimate.upper <= bound + tail_tol
 
 
 class CheckpointRow(NamedTuple):

@@ -9,7 +9,7 @@ import pytest
 from orbitdensity import cli, dyadic
 from orbitdensity import vector as vector_module
 from orbitdensity.cli import RunConfig, build_config, load_config_file, main, make_parser
-from orbitdensity.scalars import IMAG_UNIT, ONE
+from orbitdensity.scalars import GaussianRational, ONE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -253,7 +253,7 @@ class TestOrbitCommand:
         class OffOracle(cli.SeriesOracle):
             def value(self, n):
                 exact = super().value(n)
-                return exact + IMAG_UNIT if n == 40 else exact
+                return exact + GaussianRational(0, 1) if n == 40 else exact
 
         monkeypatch.setattr(cli, "SeriesOracle", OffOracle)
         assert run(["orbit", "--series-horizon", "1024",

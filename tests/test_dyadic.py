@@ -540,6 +540,35 @@ class TestSuiteChecks:
                 "condition": "mass_bound", "level": 1, "q": 5,
                 "ratio": ratio, "required": "5/124"}
 
+    @pytest.mark.parametrize("mutant", ["adds", "drops"])
+    def test_counting_bounds_rejects_a_moved_first_site(self, params, monkeypatch, mutant):
+        # a strip_sites that adds lo or drops lo + m stays inside the window
+        # [width/m - 2, width/m]; only the exact count width/m - 1 catches it
+        first = 0 if mutant == "adds" else 2
+
+        def moved(params, level, scale):
+            lo, hi = dyadic.strip(level, scale)
+            m = params.modulus(level)
+            return range(lo + first * m, hi, m)
+
+        monkeypatch.setattr(dyadic, "strip_sites", moved)
+        report = verify_counting_bounds(params, 5, 26)
+        assert not report.passed
+        assert report.first_violation == {
+            "condition": "site_count", "level": 1, "scale": 5,
+            "count": 2 - first, "required": 1}
+
+    @pytest.mark.parametrize("max_level", [0, -3])
+    @pytest.mark.parametrize("check, args", [
+        (verify_counting_bounds, (26,)),
+        (verify_mass_bound, (9,)),
+        (verify_class_limits, ()),
+    ], ids=["counting_bounds", "mass_bound", "class_limits"])
+    def test_rejects_max_level_below_one(self, params, check, args, max_level):
+        # no level to check must not read as a pass
+        with pytest.raises(ValueError, match="max_level must be >= 1"):
+            check(params, max_level, *args)
+
     def test_ranges(self, params):
         assert verify_counting_bounds(params, 5, 26).range_ == \
             {"max_level": 5, "max_scale": 26}

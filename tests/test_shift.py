@@ -13,8 +13,7 @@ from orbitdensity import (
     tail_constant,
     vector_norm,
 )
-from orbitdensity.scalars import IMAG_UNIT, ONE, ZERO
-from orbitdensity.shift import NormCertificateError
+from orbitdensity.scalars import ONE, ZERO
 
 SPACES = {"l2": 2.0, "c0": math.inf, "lp:3": 3.0}
 
@@ -66,7 +65,7 @@ class TestScalars:
 
     def test_truthiness(self):
         assert not ZERO
-        assert ONE and IMAG_UNIT
+        assert ONE and GaussianRational(0, 1)
 
     @given(st.fractions(), st.fractions())
     @example(Fraction(0), Fraction(0))
@@ -160,8 +159,10 @@ class TestVectorNorm:
         assert truth == pytest.approx(tail_constant(op, 1), abs=1e-9)
 
     def test_missing_certificate_raises(self, op):
-        with pytest.raises(NormCertificateError):
+        with pytest.raises(ValueError, match="without decay certificate"):
             vector_norm(op, lambda m: ONE, 0)
+        with pytest.raises(ValueError, match="decay ratio"):
+            vector_norm(op, lambda m: ONE, 0, decay=(1, 1.0))
 
     def test_sup_norm(self):
         op = ShiftOperator(space_exponent=math.inf)

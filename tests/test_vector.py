@@ -33,11 +33,10 @@ from orbitdensity import (
     vector_norm,
     verify_orbit_approach,
     verify_separation,
-    zero_block,
 )
 from orbitdensity import dyadic
 from orbitdensity import vector as vector_module
-from orbitdensity.scalars import IMAG_UNIT, ONE, ZERO
+from orbitdensity.scalars import ONE, ZERO
 
 
 def gr(re, im=0):
@@ -115,8 +114,6 @@ class TestCoefficientBlock:
             CoefficientBlock(level=1, coeffs={0: gr(2)})
         with pytest.raises(ValueError, match="exceeds budget"):
             CoefficientBlock(level=2, coeffs={0: gr(2, 1)})
-        assert CoefficientBlock(level=2, coeffs={0: gr(2)}).max_abs() == 2.0
-        assert CoefficientBlock(level=2, coeffs={0: gr(0, -2)}).max_abs() == 2.0
 
     def test_radius_enforced(self):
         with pytest.raises(ValueError):
@@ -125,13 +122,13 @@ class TestCoefficientBlock:
     def test_positive_count(self):
         block = CoefficientBlock(
             level=2,
-            coeffs={-1: gr(Fraction(1, 2)), 0: IMAG_UNIT, 2: gr(-1), 3: gr(1, 1)},
+            coeffs={-1: gr(Fraction(1, 2)), 0: gr(0, 1), 2: gr(-1), 3: gr(1, 1)},
         )
         assert block.positive_offsets() == [-1, 3]
         assert len(block.positive_offsets()) == 2
 
     def test_zero_block(self):
-        block = zero_block(3)
+        block = CoefficientBlock(3, {})
         assert block.is_zero and len(block.positive_offsets()) == 0
         assert block.level == 3 and block.radius == 8
 
@@ -248,7 +245,7 @@ class TestSeriesOracle:
         av = one_block_av
         assert expansion_coefficient(av, 40).re > 0
         oracle = SeriesOracle(av, 64)
-        oracle._values[40] = oracle.value(40) + IMAG_UNIT
+        oracle._values[40] = oracle.value(40) + gr(0, 1)
         assert sign_cross_check(av, oracle, 64) == [40]
 
     def test_flags_dropped_value(self, enumerated_av):
@@ -481,7 +478,7 @@ class TestPredictedLimits:
             assert upper / lower == Fraction(10, 9)
 
     def test_all_zero_family_rejected(self, params, op, budgets):
-        for blocks in ({s: zero_block(s) for s in range(1, 7)}, {}):
+        for blocks in ({s: CoefficientBlock(s, {}) for s in range(1, 7)}, {}):
             av = AssembledVector(params, op, budgets, blocks)
             with pytest.raises(ValueError):
                 predicted_density_limits(av)
@@ -534,6 +531,39 @@ class TestOrbitApproach:
     def test_rejects_non_site(self, one_block_av):
         with pytest.raises(ValueError):
             verify_orbit_approach(one_block_av, 1, 41)
+
+    def test_rejects_level_past_max_level(self, one_block_av):
+        # 260608 is a real level-7 site, but the assembly stops at level 6
+        assert dyadic.in_site_set(one_block_av.params, 7, 260608)
+        with pytest.raises(ValueError, match=r"level must lie in 1\.\.6"):
+            verify_orbit_approach(one_block_av, 7, 260608)
+
+    @pytest.mark.parametrize("fixture", ["one_block_av", "enumerated_av", "mixed_av"])
+    def test_budget_cap_bounds_every_read_coordinate(self, request, monkeypatch, fixture):
+        # the decay cap is the budget rule c(max_level) + c(level), an exact
+        # int, and it bounds |b(n+m) - a(-m)| at every coordinate m read
+        av = request.getfixturevalue(fixture)
+        real = vector_module.vector_norm
+        calls = []
+
+        def recording_norm(op, vector, start, **kwargs):
+            reads = []
+            calls.append((kwargs["decay"][0], reads))
+            return real(op, lambda m: reads.append(m) or vector(m), start, **kwargs)
+
+        monkeypatch.setattr(vector_module, "vector_norm", recording_norm)
+        rng = random.Random(3)
+        for level in range(1, 5):
+            cap, block = av.max_level + level, av.blocks[level]
+            for n in rng.sample(site_members(av.params, level, 2 ** 16), 2):
+                calls.clear()
+                assert verify_orbit_approach(av, level, n)
+                [(decay_cap, reads)] = calls
+                assert type(decay_cap) is int and decay_cap == cap
+                assert len(reads) > 2 ** level
+                for m in reads:
+                    delta = expansion_coefficient(av, n + m) - block.a(-m)
+                    assert delta.abs_sq() <= cap * cap
 
     @pytest.mark.parametrize("level", [1, 2], ids=["placed-block", "zero-block"])
     def test_planted_coefficient_past_the_block_fails(self, one_block_av, monkeypatch,

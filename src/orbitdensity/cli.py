@@ -96,9 +96,10 @@ def _parse_space(text: str) -> float:
     if text == "l2":
         return 2.0
     if text.startswith("lp:"):
-        value = float(text[3:])
-        if value < 1:
-            raise ValueError("space exponent must be >= 1")
+        value = float(text[3:])  # ShiftOperator rejects a P below 1
+        if not math.isfinite(value):
+            raise ValueError(f"lp:P takes a finite P, not {text[3:]!r}: l^inf is not "
+                             "separable; c0 is the separable sup-norm space")
         return value
     raise ValueError(f"unknown space {text!r} (use l2, c0, or lp:P)")
 
@@ -226,9 +227,10 @@ def cmd_verify(config: RunConfig) -> int:
     params = config.params()
     max_level = min(config.smax, 4)
     reports = [
-        dyadic.verify_separation(params, max_level, 2 ** 20),
+        dyadic.verify_separation(params, max_level,
+                                 max(2 ** 20, dyadic.first_site_bound(params, max_level))),
         dyadic.verify_checkpoint_gap(params, max_level, min(config.checkpoints, 8)),
-        dyadic.verify_counting_bounds(params, min(config.smax, 5), 26),
+        dyadic.verify_counting_bounds(params, min(config.smax, 5)),
         dyadic.verify_mass_bound(params, min(config.smax, 3), config.checkpoints),
         dyadic.verify_class_limits(params, min(config.smax, 3)),
     ]
@@ -261,9 +263,8 @@ def cmd_vector(config: RunConfig) -> int:
 
     approach = []
     for level in range(1, min(config.smax, 4) + 1):
-        # the level's first site lies below 2^(min_scale + 4), so no level
-        # passes on zero samples
-        horizon = max(2 ** 16, 2 ** (av.params.min_scale(level) + 4))
+        # past the level's first site, so no level passes on zero samples
+        horizon = max(2 ** 16, dyadic.first_site_bound(av.params, level))
         members = dyadic.site_members(av.params, level, horizon)
         picks = rng.sample(members, min(5, len(members)))
         passed = all(verify_orbit_approach(av, level, n, tail_tol=1e-9)

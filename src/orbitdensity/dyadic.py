@@ -108,6 +108,12 @@ class SeparationParams(Frozen):
         return 2 * level + self.p + 2
 
 
+def first_site_bound(params: SeparationParams, level: int) -> int:
+    """2^(min_scale + 4), above the level's first site: selected scales are
+    at most 3 apart and each one from ``min_scale`` on hosts a site."""
+    return 2 ** (params.min_scale(level) + 4)
+
+
 def strip(level: int, scale: int) -> tuple[int, int]:
     """Bounds (lo, hi) of the half-open level-``level`` strip of [2^scale, 2^(scale+1))."""
     if level < 1:
@@ -269,11 +275,7 @@ class Checkpoints(NamedTuple):
 
     @property
     def classes(self) -> tuple[str, ...]:
-        return tuple(_class_label(q) for q in self.exponents)
-
-
-def _class_label(q: int) -> str:
-    return CLASS1 if q % SCALE_PERIOD == 0 else CLASS2
+        return tuple(CLASS1 if q % SCALE_PERIOD == 0 else CLASS2 for q in self.exponents)
 
 
 def checkpoint_schedule(params: SeparationParams, count: int) -> Checkpoints:
@@ -408,11 +410,13 @@ def verify_checkpoint_gap(params: SeparationParams, max_level: int,
     return _report("checkpoint_gap", params, range_)
 
 
-def verify_counting_bounds(params: SeparationParams, max_level: int,
-                           max_scale: int) -> CheckReport:
-    """Per-strip site counts, each exactly 2^(j-2s-p-1) - 1 (``strip_sites``)."""
+def verify_counting_bounds(params: SeparationParams, max_level: int) -> CheckReport:
+    """Per-strip site counts, each exactly 2^(j-2s-p-1) - 1 (``strip_sites``),
+    at every scale from a level's ``min_scale`` to max_scale =
+    max(26, ``params.min_scale(max_level)``), so every level is read."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
+    max_scale = max(26, params.min_scale(max_level))
     range_ = {"max_level": max_level, "max_scale": max_scale}
     for level in range(1, max_level + 1):
         for scale in range(params.min_scale(level), max_scale + 1):

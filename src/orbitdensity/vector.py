@@ -28,6 +28,7 @@ from .dyadic import (
     CLASS2,
     aligned_sites,
     count_sites,
+    first_site_bound,
     in_site_set,
     is_checkpoint_horizon,
     scale_mass_limit,
@@ -84,9 +85,6 @@ class CoefficientBlock(Frozen):
                 raise ValueError(f"coefficient at offset {j} exceeds budget {bound}")
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coeffs", table)
-
-    def a(self, offset: int) -> GaussianRational:
-        return self.coeffs.get(offset, ZERO)
 
     @property
     def radius(self) -> int:
@@ -288,9 +286,7 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
     ``verify`` it is re-derived on the assembled vector: the indices n in
     [k - 2^level - d, k + 2^level + d] around the level's first site k with
     Re b(n) > 0.  Separation keeps every other window at least 2d + 1 away
-    from the one placed at k, so the two counts must agree.  The first site
-    lies below 2^(min_scale + 4): selected scales are at most 3 apart and
-    each one from min_scale on hosts a site.
+    from the one placed at k, so the two counts must agree.
     """
     block = av.blocks.get(level)
     if block is None:
@@ -298,7 +294,7 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
     count = len(block.positive_offsets())
     if verify:
         params = av.params
-        k = site_members(params, level, 2 ** (params.min_scale(level) + 4))[0]
+        k = site_members(params, level, first_site_bound(params, level))[0]
         span = block.radius + params.d
         direct = sum(1 for n in range(k - span, k + span + 1)
                      if expansion_coefficient(av, n).re_positive())
@@ -439,7 +435,7 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
     cap = av.max_level + level  # |b| <= c(max_level), |a| <= c(level), c(s) = s
 
     def coeff(m: int) -> GaussianRational:
-        b, a = expansion_coefficient(av, n + m), block.a(-m)
+        b, a = expansion_coefficient(av, n + m), block.coeffs.get(-m, ZERO)
         if not (b or a):
             return ZERO
         delta = b - a

@@ -118,6 +118,23 @@ class TestVerify:
             assert all(entry["pass"] for entry in payload)
             assert all(entry["first_violation"] is None for entry in payload)
 
+    @pytest.mark.parametrize("flags", [["--d", "1"], ["--d", "3"], ["--d", "14"],
+                                       ["--d", "62"], ["--d", "100"], ["--d", "1000"],
+                                       ["--d", "524286"], ["--p", "6"], ["--p", "8"]],
+                             ids=lambda flags: "".join(flags))
+    def test_depths_reach_every_level(self, tmp_path, flags):
+        # separation's horizon holds a site of each level 1..4, and
+        # counting_bounds reads at least one scale of each level 1..5
+        out = tmp_path / "out"
+        assert run(["verify", "--out", str(out), *flags]) == 0
+        payload = {e["check"]: e for e in
+                   json.loads((out / "verify_report.json").read_text())}
+        params = dyadic.SeparationParams(**payload["separation"]["params"])
+        horizon = payload["separation"]["range"]["horizon"]
+        assert all(dyadic.site_members(params, level, horizon) for level in range(1, 5))
+        max_scale = payload["counting_bounds"]["range"]["max_scale"]
+        assert all(params.min_scale(level) <= max_scale for level in range(1, 6))
+
     def test_forced_p_zero_fails_with_counterexample(self, tmp_path):
         out = tmp_path / "out"
         assert run(["verify", "--p", "0", "--out", str(out)]) == 1
@@ -395,6 +412,12 @@ class TestConfigMerging:
     def test_bad_space_is_usage_error(self, tmp_path):
         assert run(["vector", "--space", "banach", "--out", str(tmp_path)]) == 2
 
+    def test_lp_inf_points_to_c0(self, tmp_path, capsys):
+        # l^inf is not separable, so it is not c0 under another name
+        assert run(["vector", "--space", "lp:inf", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "c0" in err, err
+
 
 class TestInvalidConfig:
     @pytest.mark.parametrize("flags", [
@@ -406,9 +429,13 @@ class TestInvalidConfig:
         ["--smax", "1030"],
         ["--smax", "100000000"],
         ["--p", "0"],
+        ["--space", "lp:inf"],
+        ["--space", "lp:Infinity"],
+        ["--space", "lp:1e400"],
     ], ids=["one-checkpoint", "omega-zero-denominator", "d-zero",
             "omega-float-is-one", "omega-float-overflow", "smax-beyond-float-range",
-            "smax-far-beyond-float-range", "p-inadmissible"])
+            "smax-far-beyond-float-range", "p-inadmissible", "space-lp-inf",
+            "space-lp-infinity", "space-lp-float-overflow"])
     def test_exits_2_with_message(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert run(["orbit", "--series-horizon", "2048", "--out", str(out), *flags]) == 2

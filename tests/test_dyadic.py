@@ -516,7 +516,7 @@ class TestSuiteChecks:
     @pytest.mark.parametrize("d", [1, 2, 3, 14, 62, 100, 1000])
     def test_pass_at_min_p(self, d):
         params = SeparationParams.with_min_p(d)
-        reports = [verify_counting_bounds(params, 5, 26),
+        reports = [verify_counting_bounds(params, 5),
                    verify_mass_bound(params, 3, 9),
                    verify_class_limits(params, 3)]
         assert [r.check for r in reports] == ["counting_bounds", "mass_bound",
@@ -552,7 +552,7 @@ class TestSuiteChecks:
             return range(lo + first * m, hi, m)
 
         monkeypatch.setattr(dyadic, "strip_sites", moved)
-        report = verify_counting_bounds(params, 5, 26)
+        report = verify_counting_bounds(params, 5)
         assert not report.passed
         assert report.first_violation == {
             "condition": "site_count", "level": 1, "scale": 5,
@@ -560,7 +560,7 @@ class TestSuiteChecks:
 
     @pytest.mark.parametrize("max_level", [0, -3])
     @pytest.mark.parametrize("check, args", [
-        (verify_counting_bounds, (26,)),
+        (verify_counting_bounds, ()),
         (verify_mass_bound, (9,)),
         (verify_class_limits, ()),
     ], ids=["counting_bounds", "mass_bound", "class_limits"])
@@ -570,8 +570,11 @@ class TestSuiteChecks:
             check(params, max_level, *args)
 
     def test_ranges(self, params):
-        assert verify_counting_bounds(params, 5, 26).range_ == \
+        assert verify_counting_bounds(params, 5).range_ == \
             {"max_level": 5, "max_scale": 26}
+        # p = 19 puts level 5's smallest scale at 31, past 26: it is still read
+        assert verify_counting_bounds(SeparationParams.with_min_p(524286), 5).range_ == \
+            {"max_level": 5, "max_scale": 31}
         assert verify_mass_bound(params, 3, 9).range_ == \
             {"max_level": 3, "checkpoints": 9}
         assert verify_class_limits(params, 3).range_ == \
@@ -579,6 +582,13 @@ class TestSuiteChecks:
         # d = 62 needs p = 6: min_scale(3) + 7 = 21 moves the window start
         assert verify_class_limits(SeparationParams.with_min_p(62), 3).range_ == \
             {"max_level": 3, "q_range": [22, 32]}
+
+    def test_first_site_bound_lies_past_the_first_site(self):
+        # selected scales are at most 3 apart, so a site lies below 2^(ms + 4)
+        for p in range(21):
+            params = SeparationParams(d=1, p=p)
+            for level in range(1, 7):
+                assert site_members(params, level, dyadic.first_site_bound(params, level))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 14, 62, 100, 1000])
     def test_class_limits_pass_for_every_p(self, d):

@@ -82,12 +82,19 @@ def test_unequal_arguments_and_types_differ():
     assert GaussianRational(1, 2) != (Fraction(1), Fraction(2))
 
 
+def test_frozen_alone_compares_hashes_and_prints():
+    # one equality, hash and repr serve every checked value type
+    for cls in (SeparationParams, ShiftOperator, CoefficientBlock, GaussianRational):
+        assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls
+
+
 def test_reprs_name_the_fields():
     assert repr(SeparationParams.with_min_p(1)) == "SeparationParams(d=1, p=1)"
     assert repr(ShiftOperator()) == "ShiftOperator(weight=Fraction(2, 1), space_exponent=2.0)"
     assert repr(CoefficientBlock(level=1, coeffs={0: ONE, 1: ZERO})) == (
-        "CoefficientBlock(level=1, coeffs={0: GaussianRational(Fraction(1, 1), Fraction(0, 1))})")
-    assert repr(ZERO) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"
+        "CoefficientBlock(level=1, coeffs={0: GaussianRational(re=Fraction(1, 1), "
+        "im=Fraction(0, 1))})")
+    assert repr(ZERO) == "GaussianRational(re=Fraction(0, 1), im=Fraction(0, 1))"
 
 
 @pytest.mark.parametrize("build", [

@@ -562,7 +562,7 @@ class TestOrbitApproach:
                 assert type(decay_cap) is int and decay_cap == cap
                 assert len(reads) > 2 ** level
                 for m in reads:
-                    delta = expansion_coefficient(av, n + m) - block.a(-m)
+                    delta = expansion_coefficient(av, n + m) - block.coeffs.get(-m, ZERO)
                     assert delta.abs_sq() <= cap * cap
 
     @pytest.mark.parametrize("level", [1, 2], ids=["placed-block", "zero-block"])
@@ -603,7 +603,7 @@ class TestOrbitApproach:
                 k = m + _block.radius
                 k -= k % av.params.modulus(_level)
                 if k in _members and abs(k - m) <= _block.radius:
-                    a = _block.a(k - m)
+                    a = _block.coeffs.get(k - m, ZERO)
                     return a * (op.weight ** -m) if a else ZERO
                 return ZERO
 

@@ -11,8 +11,6 @@ from .densities import DensityReport, density_ratios
 from .dyadic import (
     CLASS1,
     CLASS2,
-    CheckReport,
-    Checkpoints,
     SeparationParams,
     checkpoint_schedule,
     checkpoints_between,
@@ -32,7 +30,6 @@ from .dyadic import (
 )
 from .scalars import GaussianRational
 from .shift import (
-    NormEstimate,
     ShiftOperator,
     tail_constant,
     vector_norm,
@@ -40,9 +37,7 @@ from .shift import (
 from .vector import (
     AssembledVector,
     CoefficientBlock,
-    DensityExperiment,
     LevelBudgets,
-    ReturnSet,
     SeriesOracle,
     approach_bound,
     build_level_budgets,

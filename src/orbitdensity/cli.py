@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError("checkpoints must be >= 2 (one per checkpoint class)")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not self.out:  # Path("") is the working directory
+            raise ValueError("out must name a directory, not be empty")
         self.params()  # SeparationParams rejects a d or p out of range
         # build_level_budgets reads the tail constants of levels 1..smax
         tail_constant(self.operator(), self.smax)

@@ -279,16 +279,13 @@ class Checkpoints(NamedTuple):
 
 
 def checkpoint_schedule(params: SeparationParams, count: int) -> Checkpoints:
-    """First ``count`` checkpoints for the given parameters."""
+    """First ``count`` checkpoints for the given parameters: every
+    ``SCALE_PERIOD`` consecutive exponents hold each selected residue once."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    exponents = []
-    q = params.p + 4
-    while len(exponents) < count:
-        if scale_selected(q):
-            exponents.append(q)
-        q += 1
-    return Checkpoints(tuple(exponents))
+    periods = -(-count // len(SELECTED_RESIDUES))
+    q_hi = params.p + 3 + SCALE_PERIOD * periods
+    return Checkpoints(checkpoints_between(params, 0, q_hi).exponents[:count])
 
 
 def checkpoints_between(params: SeparationParams, q_lo: int, q_hi: int) -> Checkpoints:

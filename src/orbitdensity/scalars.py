@@ -71,12 +71,7 @@ class GaussianRational(Frozen):
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
-    def __mul__(self, other: Union["GaussianRational", Rational]) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+    def __mul__(self, other: Rational) -> "GaussianRational":
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re * other, self.im * other)
         return NotImplemented

@@ -9,9 +9,10 @@ certificates.
 
 A vector is its coefficient function on the coordinates m >= 0.  The
 certificate reads the tail constants eps(s) behind the unconditional sums
-of the Frequent Hypercyclicity Criterion (``tail_constant``) and a
-certified norm (``vector_norm``).  For x(m) = b(m)*w^(-m), coordinate 0 of
-T^n x is w^n*x(n) = b(n), which the verdict reads as ``expansion_coefficient``.
+of the Frequent Hypercyclicity Criterion (``tail_constant``) and certified
+upper bounds on norms (``vector_norm``).  For x(m) = b(m)*w^(-m),
+coordinate 0 of T^n x is w^n*x(n) = b(n), which the verdict reads as
+``expansion_coefficient``.
 
 The coordinate-0 vector generates a two-sided chain whose span is dense:
 the inverse chain at step n is the basis vector at index n scaled by w^(-n)
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .scalars import Frozen, GaussianRational
 
@@ -82,22 +83,9 @@ def tail_constant(op: ShiftOperator, level: int) -> float:
     return head * (1.0 - w ** -p) ** (-1.0 / p)
 
 
-class NormEstimate(NamedTuple):
-    """Certified norm bracket: the true norm lies in [value, value + tail_bound]."""
-
-    value: float
-    tail_bound: float
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.tail_bound
-
-
 def _tail_cutoff(cap: float, ratio: float, factor: float, start: int,
                  tail_tol: float) -> int:
     """Smallest M >= start-1 with cap * factor * ratio^(M+1) <= tail_tol."""
-    if cap == 0.0:
-        return start - 1
     if tail_tol <= 0.0:
         raise ValueError("tail_tol must be positive for an unbounded span")
     m = start - 1
@@ -111,18 +99,19 @@ def _tail_cutoff(cap: float, ratio: float, factor: float, start: int,
 def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
                 stop: Optional[int] = None, *,
                 decay: Optional[tuple[float, float]] = None,
-                tail_tol: float = 1e-12) -> NormEstimate:
-    """Space norm of the coordinates from ``start`` on, with a certified tail.
+                tail_tol: float = 1e-12) -> float:
+    """Certified upper bound on the space norm of the coordinates from ``start`` on.
 
     The caller states where the vector may be nonzero.  A bounded range
-    [start, stop) is summed exactly (in floating point).  With ``stop=None``
-    the coordinates run on forever and ``decay`` = (cap, ratio) must certify
-    |vector(m)| <= cap * ratio^m for m >= start; the range is then scanned
-    until the certified geometric remainder drops below ``tail_tol``, and
-    that remainder is the estimate's tail bound.  A zero coordinate is
-    skipped before its squared modulus is formed: it would only add 0.0 to
-    the sum or take a max with it, so the norm is the same bit for bit.
-    Raises ValueError when an unbounded range has no usable certificate.
+    [start, stop) is summed exactly (in floating point), and the bound is
+    that sum.  With ``stop=None`` the coordinates run on forever and
+    ``decay`` = (cap, ratio) must certify |vector(m)| <= cap * ratio^m for
+    m >= start; the range is then scanned until the certified geometric
+    remainder drops below ``tail_tol``, and the bound is the scanned sum
+    plus that remainder.  A zero coordinate is skipped before its squared
+    modulus is formed: it would only add 0.0 to the sum or take a max with
+    it, so the norm is the same bit for bit.  Raises ValueError when an
+    unbounded range has no usable certificate.
     """
     p = op.space_exponent
     sup = op.is_sup_space
@@ -148,5 +137,5 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
         else:
             acc += sq ** (p / 2.0)
 
-    value = acc if sup else acc ** (1.0 / p)
-    return NormEstimate(value=value, tail_bound=tail)
+    norm = acc if sup else acc ** (1.0 / p)
+    return norm + tail

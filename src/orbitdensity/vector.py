@@ -422,8 +422,8 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
     """Certified check that the n-step orbit point approaches the level block.
 
     ``n`` must lie in the level's site set.  The difference vector has
-    coordinates (b(n+m) - a(-m)) * w^(-m); its certified norm (value plus
-    tail) must stay within ``approach_bound`` plus ``tail_tol``.  A
+    coordinates (b(n+m) - a(-m)) * w^(-m); the certified upper bound on its
+    norm must stay within ``approach_bound`` plus ``tail_tol``.  A
     coordinate where b(n+m) and a(-m) are both zero is ``ZERO`` without
     forming the difference, and ``vector_norm`` skips it.
     """
@@ -441,9 +441,9 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
         delta = b - a
         return delta * (w ** -m) if delta else ZERO
 
-    estimate = vector_norm(av.op, coeff, 0, decay=(cap, 1.0 / av.op.weight_float),
-                           tail_tol=min(tail_tol / 2, 1e-12))
-    return estimate.upper <= bound + tail_tol
+    upper = vector_norm(av.op, coeff, 0, decay=(cap, 1.0 / av.op.weight_float),
+                        tail_tol=min(tail_tol / 2, 1e-12))
+    return upper <= bound + tail_tol
 
 
 class CheckpointRow(NamedTuple):

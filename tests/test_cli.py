@@ -508,6 +508,23 @@ class TestInvalidConfig:
         assert capsys.readouterr().err == f"error: {name}: unknown variable\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_empty_out(self, tmp_path, capsys, monkeypatch, source):
+        # Path("") is the working directory, where every artifact would land
+        config = tmp_path / "run.cfg"
+        config.write_text("out=\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv, where = {"flag": (["fact0", "--out="], "--out"),
+                       "file": (["fact0", "--config", str(config)], f"{config}:1: out"),
+                       "env": (["fact0"], "ORBITDENSITY_OUT")}[source]
+        if source == "env":
+            monkeypatch.setenv("ORBITDENSITY_OUT", "")
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+        assert not any(work.iterdir())
+
 
 class TestAllCommand:
     @pytest.mark.parametrize("family", ["one-block", "enumerated"])

@@ -352,6 +352,14 @@ class TestCheckpoints:
         for n in checkpoint_schedule(params, 12).horizons:
             assert n & (n - 1) == 0
 
+    def test_schedule_matches_brute_force(self):
+        # the first count selected exponents q >= p + 4, found one q at a time
+        for p in range(12):
+            params = SeparationParams(d=1, p=p)
+            selected = [q for q in range(p + 4, p + 4 + 5 * 40) if dyadic.scale_selected(q)]
+            for count in range(1, 80):
+                assert checkpoint_schedule(params, count).exponents == tuple(selected[:count])
+
     def test_between(self, params):
         schedule = checkpoints_between(params, 20, 32)
         assert schedule.exponents == (20, 22, 25, 27, 30, 32)

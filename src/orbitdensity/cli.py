@@ -60,9 +60,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Reject a bad value before any stage runs or writes an artifact."""
-        for name in ("smax", "series_horizon"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.smax < 1:
+            raise ValueError("smax must be >= 1")
+        if not 1 <= self.series_horizon <= 2 ** 24:  # the oracle holds one value per step
+            raise ValueError("series_horizon must lie in 1..16777216 (2^24)")
         if self.checkpoints < 2:
             raise ValueError("checkpoints must be >= 2 (one per checkpoint class)")
         if self.family not in FAMILIES:
@@ -269,8 +270,7 @@ def cmd_vector(config: RunConfig) -> int:
         horizon = max(2 ** 16, dyadic.first_site_bound(av.params, level))
         members = dyadic.site_members(av.params, level, horizon)
         picks = rng.sample(members, min(5, len(members)))
-        passed = all(verify_orbit_approach(av, level, n, tail_tol=1e-9)
-                     for n in picks)
+        passed = all(verify_orbit_approach(av, level, n) for n in picks)
         approach.append({"level": level, "samples": sorted(picks), "pass": passed})
 
     payload = {

@@ -52,13 +52,14 @@ class LevelBudgets(NamedTuple):
     @property
     def weighted_partials(self) -> tuple[float, ...]:  # partial sums of c(s) * eps(s)
         return tuple(itertools.accumulate(
-            s * eps for s, eps in enumerate(self.tail_constants, 1)))
+            self.budget(s) * eps for s, eps in enumerate(self.tail_constants, 1)))
 
     @staticmethod
-    def budget(level: int) -> Fraction:
+    def budget(level: int) -> int:
+        """The exact int c(level) = level."""
         if level < 1:
             raise ValueError("level must be >= 1")
-        return Fraction(level)
+        return level
 
 
 def build_level_budgets(op: ShiftOperator, max_level: int) -> LevelBudgets:
@@ -118,11 +119,11 @@ def enumerate_dense_vectors() -> Iterator[dict[int, GaussianRational]]:
 
     Stage b = R + k + M runs over support radius R, denominator exponent k
     and numerator cap M >= 1; within a stage, coefficient tuples are walked
-    in a fixed positive-real-first order.  Canonical-form filters (cap
+    in a fixed positive-real-first order.  Three canonical-form filters (cap
     attained, some odd numerator when k > 0, nonzero endpoint when R > 0)
-    make every map appear exactly once, so the stream is reproducible and
-    eventually reaches every finitely supported vector with complex dyadic
-    rational coefficients.
+    make every map appear exactly once; since M >= 1, the first also rejects
+    the zero map.  So the stream is reproducible and eventually reaches every
+    nonzero finitely supported vector with complex dyadic rational coefficients.
     """
     for stage in itertools.count(1):
         for radius in range(stage):
@@ -132,8 +133,6 @@ def enumerate_dense_vectors() -> Iterator[dict[int, GaussianRational]]:
                 candidates = _gaussian_integers(cap)
                 offsets = list(range(-radius, radius + 1))
                 for tup in itertools.product(candidates, repeat=len(offsets)):
-                    if all(u == 0 and v == 0 for u, v in tup):
-                        continue
                     if max(max(abs(u), abs(v)) for u, v in tup) != cap:
                         continue
                     if den_exp > 0 and not any(u % 2 or v % 2 for u, v in tup):
@@ -159,7 +158,7 @@ def dense_family_blocks(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
     blocks: dict[int, CoefficientBlock] = {}
     previous = 0
     for coeffs in enumerate_dense_vectors():
-        radius = max((abs(j) for j in coeffs), default=0)
+        radius = max(abs(j) for j in coeffs)
         max_sq = max(a.abs_sq() for a in coeffs.values())
         level = previous + 1
         while 2 ** level < radius or budgets.budget(level) ** 2 < max_sq:
@@ -343,14 +342,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    params = av.params
-    if method == "scan":
-        def sites(level: int, limit: int) -> Iterable[int]:
-            return aligned_sites(params, level, 1, limit)
-    elif method == "sites":
-        def sites(level: int, limit: int) -> Iterable[int]:
-            return site_members(params, level, limit)
-    else:
+    if method not in ("sites", "scan"):
         raise ValueError("method must be 'sites' or 'scan'")
     found: list[int] = []
     for level in av.active_levels:
@@ -358,7 +350,9 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
         offsets = block.positive_offsets()
         if not offsets:
             continue
-        for k in sites(level, horizon + block.radius):
+        limit = horizon + block.radius
+        for k in (aligned_sites(av.params, level, 1, limit) if method == "scan"
+                  else site_members(av.params, level, limit)):
             for j in offsets:
                 n = k - j if j else k  # at offset 0 keep the site's own int
                 if 1 <= n <= horizon and expansion_coefficient(av, n).re_positive():
@@ -410,10 +404,10 @@ def approach_bound(av: AssembledVector, level: int) -> float:
     if not 1 <= level <= budgets.max_level:
         raise ValueError(f"level must lie in 1..{budgets.max_level}")
     eps = budgets.tail_constants
-    head = sum(float(budgets.budget(s)) for s in range(1, level)) * eps[level - 1]
+    head = sum(budgets.budget(s) for s in range(1, level)) * eps[level - 1]
     tail = 0.0
     for s in range(level, budgets.max_level + 1):
-        tail += float(budgets.budget(s)) * eps[s - 1]
+        tail += budgets.budget(s) * eps[s - 1]
     return head + tail
 
 
@@ -432,7 +426,8 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
         raise ValueError(f"{n} is not a level-{level} site")
     block = av.blocks[level]
     w = av.op.weight
-    cap = av.max_level + level  # |b| <= c(max_level), |a| <= c(level), c(s) = s
+    budget = av.budgets.budget
+    cap = budget(av.max_level) + budget(level)  # |b| <= c(max_level), |a| <= c(level)
 
     def coeff(m: int) -> GaussianRational:
         b, a = expansion_coefficient(av, n + m), block.coeffs.get(-m, ZERO)
@@ -441,8 +436,7 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
         delta = b - a
         return delta * (w ** -m) if delta else ZERO
 
-    upper = vector_norm(av.op, coeff, 0, decay=(cap, 1.0 / av.op.weight_float),
-                        tail_tol=min(tail_tol / 2, 1e-12))
+    upper = vector_norm(av.op, coeff, 0, decay=(cap, 1.0 / av.op.weight_float))
     return upper <= bound + tail_tol
 
 

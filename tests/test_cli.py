@@ -476,6 +476,28 @@ class TestInvalidConfig:
         with pytest.raises(ValueError):
             RunConfig(smax=1024)
 
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_series_horizon_bound(self, tmp_path, capsys, monkeypatch, source):
+        # the series oracle holds one value per step, so a horizon past 2^24
+        # exits 2 before any stage runs, naming where the value came from
+        config = tmp_path / "run.cfg"
+        config.write_text("series_horizon=10000000000\n")
+        argv, where = {"flag": (["--series-horizon", "10000000000"], "--series-horizon"),
+                       "file": (["--config", str(config)], f"{config}:1: series_horizon"),
+                       "env": ([], "ORBITDENSITY_SERIES_HORIZON")}[source]
+        if source == "env":
+            monkeypatch.setenv("ORBITDENSITY_SERIES_HORIZON", "10000000000")
+        out = tmp_path / "out"
+        assert run(["fact0", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {where}: series_horizon must lie in 1..16777216 (2^24)\n"
+        assert not out.exists()
+
+    def test_series_horizon_edge(self):
+        assert RunConfig(series_horizon=2 ** 24).series_horizon == 2 ** 24
+        with pytest.raises(ValueError):
+            RunConfig(series_horizon=2 ** 24 + 1)
+
     @pytest.mark.parametrize("line", ["smax=0", "family=foo", "space=banach", "smax=1030",
                                       "p=0", "tail_tol=1e-12", "p_override=3",
                                       "horizon=8388608"])

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -90,6 +92,24 @@ class TestBudgets:
         assert [budgets.budget(s) for s in (1, 2, 5)] == [1, 2, 5]
         assert [LevelBudgets.budget(s) for s in (1, 2, 5)] == [1, 2, 5]
 
+    def test_partials_and_approach_cap_read_the_budget(self, one_block_av, monkeypatch):
+        # LevelBudgets.budget is the one statement of c(s): weighted_partials
+        # and the decay cap of the approach check follow a changed budget
+        av = one_block_av
+        monkeypatch.setattr(LevelBudgets, "budget", staticmethod(lambda level: 2 * level))
+        assert av.budgets.weighted_partials == tuple(itertools.accumulate(
+            2 * s * eps for s, eps in enumerate(av.budgets.tail_constants, 1)))
+        real, caps = vector_module.vector_norm, []
+
+        def recording_norm(op, vector, start, **kwargs):
+            caps.append(kwargs["decay"][0])
+            return real(op, vector, start, **kwargs)
+
+        monkeypatch.setattr(vector_module, "vector_norm", recording_norm)
+        for level in (1, 2):
+            verify_orbit_approach(av, level, site_members(av.params, level, 2 ** 16)[0])
+        assert caps == [2 * av.max_level + 2, 2 * av.max_level + 4]
+
     def test_stabilization_guard(self, op):
         # the bound sums the assembled levels only, so every level count builds
         for max_level in range(1, 6):
@@ -139,6 +159,16 @@ class TestDenseFamily:
         second = dense_family_blocks(budgets)
         assert {s: b.coeffs for s, b in first.items()} == \
             {s: b.coeffs for s, b in second.items()}
+
+    def test_enumeration_prefix_pinned(self):
+        # the cap-attained filter alone keeps the zero map out (the cap is
+        # at least 1); the first 20,000 maps hash to this fixed digest
+        digest = hashlib.sha256()
+        for coeffs in itertools.islice(vector_module.enumerate_dense_vectors(), 20000):
+            assert coeffs
+            digest.update(repr(sorted((j, a.re, a.im) for j, a in coeffs.items())).encode())
+        assert digest.hexdigest() == \
+            "55c520b8f42444d81105387f0aa1dfc85fb70dc7ae3f3546a49fbd57e92331d7"
 
     def test_level_one_is_chain_origin(self, budgets):
         blocks = dense_family_blocks(budgets)
@@ -378,6 +408,16 @@ class TestReturnSet:
     def test_one_block_small(self, one_block_av):
         assert return_set(one_block_av, 64, method="scan").members == (40,)
         assert return_set(one_block_av, 64, method="sites").members == (40,)
+
+    def test_rejects_unknown_method(self, one_block_av, monkeypatch):
+        # the method is checked before any level's sites are walked
+        def no_walk(*args):
+            raise AssertionError("sites walked before the method check")
+
+        monkeypatch.setattr(vector_module, "aligned_sites", no_walk)
+        monkeypatch.setattr(vector_module, "site_members", no_walk)
+        with pytest.raises(ValueError, match="method must be 'sites' or 'scan'"):
+            return_set(one_block_av, 64, method="walk")
 
     def test_methods_agree(self, enumerated_av):
         horizon = 2 ** 14

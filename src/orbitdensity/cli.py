@@ -64,8 +64,8 @@ class RunConfig:
             raise ValueError("smax must be >= 1")
         if not 1 <= self.series_horizon <= 2 ** 24:  # the oracle holds one value per step
             raise ValueError("series_horizon must lie in 1..16777216 (2^24)")
-        if self.checkpoints < 2:
-            raise ValueError("checkpoints must be >= 2 (one per checkpoint class)")
+        if not 2 <= self.checkpoints <= 256:  # >= 2: one per class; the cost grows steeply
+            raise ValueError("checkpoints must lie in 2..256")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not self.out:  # Path("") is the working directory
@@ -276,7 +276,7 @@ def cmd_vector(config: RunConfig) -> int:
     payload = {
         "family": config.family,
         "omega": str(av.op.weight),
-        "space_exponent": ("sup" if av.op.is_sup_space else av.op.space_exponent),
+        "space_exponent": "sup" if math.isinf(av.op.space_exponent) else av.op.space_exponent,
         "r_values": {str(level): count for level, count in hit_counts.items()},
         "predicted_lower": vec.fraction_json(lower),
         "predicted_upper": vec.fraction_json(upper),

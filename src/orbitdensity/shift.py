@@ -5,7 +5,9 @@ space: either the p-summable space for a finite exponent, or the sup-normed
 space of null sequences (exponent ``math.inf``).  The weight w is a rational
 greater than 1, kept exact so that coefficient-level identities stay exact;
 only norms are floating point, and those come with explicit tail
-certificates.
+certificates.  Each norm quantity has one formula, the p-summable one: c0
+is p = inf, where IEEE pow (w^-inf = 0, r^inf = 0 for r < 1, s^0 = 1)
+turns it into the sup-norm value exactly.
 
 A vector is its coefficient function on the coordinates m >= 0.  The
 certificate reads the tail constants eps(s) behind the unconditional sums
@@ -52,10 +54,6 @@ class ShiftOperator(Frozen):
     def weight_float(self) -> float:
         return float(self.weight)
 
-    @property
-    def is_sup_space(self) -> bool:
-        return math.isinf(self.space_exponent)
-
 
 Coeffs = Callable[[int], GaussianRational]  # coordinate m >= 0 -> coefficient
 
@@ -65,8 +63,9 @@ def tail_constant(op: ShiftOperator, level: int) -> float:
 
     Negative-step chain vectors vanish, so only indices n >= 2^level
     contribute w^(-n) basis vectors; the extremal weighting is constant on
-    the whole tail, giving w^(-2^level) * (1 - w^(-p))^(-1/p) for a finite
-    exponent p and w^(-2^level) for the sup norm.
+    the whole tail, giving w^(-2^level) * (1 - w^(-p))^(-1/p).  One formula
+    serves every space: in c0, p = inf and IEEE pow makes the factor
+    (1 - 0)^(-0) = 1.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -75,25 +74,8 @@ def tail_constant(op: ShiftOperator, level: int) -> float:
     if level >= 1024:
         raise ValueError(f"tail constant at level {level}: 2^{level} exceeds the "
                          "float range")
-    w = op.weight_float
-    head = w ** -(2 ** level)
-    if op.is_sup_space:
-        return head
-    p = op.space_exponent
-    return head * (1.0 - w ** -p) ** (-1.0 / p)
-
-
-def _tail_cutoff(cap: float, ratio: float, factor: float, start: int,
-                 tail_tol: float) -> int:
-    """Smallest M >= start-1 with cap * factor * ratio^(M+1) <= tail_tol."""
-    if tail_tol <= 0.0:
-        raise ValueError("tail_tol must be positive for an unbounded span")
-    m = start - 1
-    bound = cap * factor * ratio ** (m + 1)
-    while bound > tail_tol:
-        m += 1
-        bound *= ratio
-    return m
+    w, p = op.weight_float, op.space_exponent
+    return w ** -(2 ** level) * (1.0 - w ** -p) ** (-1.0 / p)
 
 
 def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
@@ -106,15 +88,15 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
     [start, stop) is summed exactly (in floating point), and the bound is
     that sum.  With ``stop=None`` the coordinates run on forever and
     ``decay`` = (cap, ratio) must certify |vector(m)| <= cap * ratio^m for
-    m >= start; the range is then scanned until the certified geometric
-    remainder drops below ``tail_tol``, and the bound is the scanned sum
-    plus that remainder.  A zero coordinate is skipped before its squared
-    modulus is formed: it would only add 0.0 to the sum or take a max with
-    it, so the norm is the same bit for bit.  Raises ValueError when an
-    unbounded range has no usable certificate.
+    m >= start; the geometric remainder cap * (1 - ratio^p)^(-1/p) * ratio^m
+    is stepped from m = start until it drops to ``tail_tol``, and the bound
+    is the sum below that m plus that remainder.  The sum is
+    top * (sum (|x| / top)^p)^(1/p) over the nonzero moduli |x|, top the
+    largest: its largest term is 1, so no large p underflows it to 0, and
+    in c0 (p = inf) it is top, the sup norm.  Zero coordinates are skipped.
+    Raises ValueError when an unbounded range has no usable certificate.
     """
     p = op.space_exponent
-    sup = op.is_sup_space
     tail = 0.0
     if stop is None:
         if decay is None:
@@ -122,20 +104,15 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
         cap, ratio = decay
         if not 0.0 <= ratio < 1.0:
             raise ValueError("decay ratio must lie in [0, 1)")
-        factor = 1.0 if sup else (1.0 - ratio ** p) ** (-1.0 / p)
-        stop = _tail_cutoff(cap, ratio, factor, start, tail_tol) + 1
-        tail = cap * factor * ratio ** stop
+        if tail_tol <= 0.0:
+            raise ValueError("tail_tol must be positive for an unbounded span")
+        stop, tail = start, cap * (1.0 - ratio ** p) ** (-1.0 / p) * ratio ** start
+        while tail > tail_tol:
+            stop, tail = stop + 1, tail * ratio
 
-    acc = 0.0
-    for m in range(start, stop):
-        value = vector(m)
-        if not value:
-            continue
-        sq = float(value.abs_sq())
-        if sup:
-            acc = max(acc, math.sqrt(sq))
-        else:
-            acc += sq ** (p / 2.0)
-
-    norm = acc if sup else acc ** (1.0 / p)
-    return norm + tail
+    moduli = [math.sqrt(float(value.abs_sq()))
+              for value in map(vector, range(start, stop)) if value]
+    top = max(moduli, default=0.0)
+    if top == 0.0:
+        return tail
+    return top * sum((x / top) ** p for x in moduli) ** (1.0 / p) + tail

@@ -173,6 +173,13 @@ class TestVectorCommand:
         assert [entry["level"] for entry in approach] == [1, 2, 3, 4]
         assert all(entry["samples"] and entry["pass"] for entry in approach)
 
+    @pytest.mark.parametrize("space, written", [("c0", "sup"), ("lp:3", 3.0)])
+    def test_space_exponent_label(self, tmp_path, space, written):
+        out = tmp_path / "out"
+        assert run(["vector", "--space", space, "--smax", "4", "--out", str(out)]) == 0
+        payload = json.loads((out / "vector_report.json").read_text())
+        assert payload["space_exponent"] == written
+
     @staticmethod
     def plant_level_one_hit(monkeypatch):
         # a positive b(k + 2) inside the window of level 1's first site k
@@ -492,6 +499,27 @@ class TestInvalidConfig:
         assert capsys.readouterr().err == \
             f"error: {where}: series_horizon must lie in 1..16777216 (2^24)\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_checkpoints_bound(self, tmp_path, capsys, monkeypatch, source):
+        # the run time grows steeply with the checkpoint count, so 257 exits 2
+        # before any stage runs, naming where the value came from
+        config = tmp_path / "run.cfg"
+        config.write_text("checkpoints=257\n")
+        argv, where = {"flag": (["--checkpoints", "257"], "--checkpoints"),
+                       "file": (["--config", str(config)], f"{config}:1: checkpoints"),
+                       "env": ([], "ORBITDENSITY_CHECKPOINTS")}[source]
+        if source == "env":
+            monkeypatch.setenv("ORBITDENSITY_CHECKPOINTS", "257")
+        out = tmp_path / "out"
+        assert run(["fact0", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {where}: checkpoints must lie in 2..256\n"
+        assert not out.exists()
+
+    def test_checkpoints_edge(self):
+        assert RunConfig(checkpoints=256).checkpoints == 256
+        with pytest.raises(ValueError):
+            RunConfig(checkpoints=257)
 
     def test_series_horizon_edge(self):
         assert RunConfig(series_horizon=2 ** 24).series_horizon == 2 ** 24

@@ -15,7 +15,7 @@ from orbitdensity import (
 )
 from orbitdensity.scalars import ONE, ZERO
 
-SPACES = {"l2": 2.0, "c0": math.inf, "lp:3": 3.0}
+SPACES = {"l2": 2.0, "c0": math.inf, "lp:3": 3.0, "lp:1000": 1000.0}
 
 
 def table(coeffs):
@@ -100,10 +100,6 @@ class TestOperator:
         with pytest.raises(ValueError):
             ShiftOperator(space_exponent=0.5)
 
-    def test_sup_space(self):
-        op = ShiftOperator(space_exponent=math.inf)
-        assert op.is_sup_space
-
 
 class TestTailConstant:
     def test_level_one_l2(self, op):
@@ -112,6 +108,13 @@ class TestTailConstant:
     def test_level_one_sup(self):
         op = ShiftOperator(space_exponent=math.inf)
         assert tail_constant(op, 1) == 0.25
+
+    @pytest.mark.parametrize("weight", [Fraction(2), Fraction(3, 2)], ids=["2", "3/2"])
+    def test_sup_is_the_head_exactly(self, weight):
+        # c0 is the exponent inf of the one formula: its factor is exactly 1
+        op = ShiftOperator(weight=weight, space_exponent=math.inf)
+        for s in range(1, 11):
+            assert tail_constant(op, s) == op.weight_float ** -(2 ** s)
 
     def test_doubly_exponential_ratio(self, op):
         for s in range(1, 6):
@@ -167,10 +170,24 @@ class TestVectorNorm:
         with pytest.raises(ValueError, match="decay ratio"):
             vector_norm(op, lambda m: ONE, 0, decay=(1, 1.0))
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-12])
+    def test_tail_tol_must_be_positive(self, op, tail_tol):
+        # the remainder never drops to a tolerance <= 0, so the scan would not end
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            vector_norm(op, lambda m: ONE, 0, decay=(1.0, 0.5), tail_tol=tail_tol)
+
     def test_sup_norm(self):
         op = ShiftOperator(space_exponent=math.inf)
         vec = table({1: GaussianRational(Fraction(3)), 4: GaussianRational(Fraction(-5))})
         assert vector_norm(op, vec, 0, 5) == 5.0
+
+    @pytest.mark.parametrize("exponent", [200.0, 1000.0, 1e308])
+    def test_large_exponent_does_not_underflow(self, exponent):
+        # (1/1000)^p underflows to 0.0; scaled by the largest modulus the one
+        # term is 1, and the norm is the modulus
+        op = ShiftOperator(space_exponent=exponent)
+        vec = table({0: GaussianRational(Fraction(1, 1000))})
+        assert vector_norm(op, vec, 0, 1) >= 1 / 1000 * (1 - 1e-12)
 
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("zero", [ZERO, FloatCoeff()], ids=["exact", "float"])

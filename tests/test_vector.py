@@ -619,6 +619,22 @@ class TestOrbitApproach:
                             lambda av, i: gr(2 ** 10) if i == planted else real(av, i))
         assert not verify_orbit_approach(one_block_av, level, n)
 
+    @pytest.mark.parametrize("space", [3.0, 1000.0, math.inf], ids=["lp3", "lp1000", "c0"])
+    def test_planted_error_fails_in_every_space(self, params, monkeypatch, space):
+        # b(n + 1) raised by 1/4 at the level-4 site n = 61504 puts the orbit
+        # point about 0.125 from the block, 800 times the bound; an unscaled
+        # sum of |x|^1000 would underflow to 0.0 and pass it
+        op = ShiftOperator(space_exponent=space)
+        budgets = build_level_budgets(op, 6)
+        av = AssembledVector(params, op, budgets, dense_family_blocks(budgets))
+        n = 61504
+        assert verify_orbit_approach(av, 4, n)
+        real = vector_module.expansion_coefficient
+        monkeypatch.setattr(vector_module, "expansion_coefficient",
+                            lambda av, i: real(av, i) + gr(Fraction(1, 4)) if i == n + 1
+                            else real(av, i))
+        assert not verify_orbit_approach(av, 4, n)
+
     @pytest.mark.parametrize("space", [2.0, math.inf, 3.0], ids=["l2", "c0", "lp3"])
     @pytest.mark.parametrize("family", ["one-block", "enumerated"])
     def test_slow_weight(self, params, space, family):

@@ -70,7 +70,11 @@ class RunConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if not self.out:  # Path("") is the working directory
             raise ValueError("out must name a directory, not be empty")
-        self.params()  # SeparationParams rejects a d or p out of range
+        # SeparationParams rejects a d or p below range; past p = 8192 an
+        # artifact integer can outgrow the 4300 digits Python prints
+        p = self.params().p
+        if p > 8192:
+            raise ValueError(f"p must be <= 8192, given or derived from d (here {p})")
         # build_level_budgets reads the tail constants of levels 1..smax
         tail_constant(self.operator(), self.smax)
 

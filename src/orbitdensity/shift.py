@@ -78,6 +78,17 @@ def tail_constant(op: ShiftOperator, level: int) -> float:
     return w ** -(2 ** level) * (1.0 - w ** -p) ** (-1.0 / p)
 
 
+def _modulus(square) -> float:
+    """sqrt(square) for an exact square (a rational, or a float), scaled so no
+    nonzero square underflows: the quotient num / den is rescaled by 4^-k into
+    [1/2, 4) with exact shifts, and the root is scaled back by 2^k.  In the
+    normal float range this is bit-identical to sqrt(float(square))."""
+    num, den = square.as_integer_ratio()
+    k = (num.bit_length() - den.bit_length()) // 2
+    scaled = num / (den << 2 * k) if k >= 0 else (num << -2 * k) / den
+    return math.ldexp(math.sqrt(scaled), k)
+
+
 def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
                 stop: Optional[int] = None, *,
                 decay: Optional[tuple[float, float]] = None,
@@ -93,7 +104,9 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
     is the sum below that m plus that remainder.  The sum is
     top * (sum (|x| / top)^p)^(1/p) over the nonzero moduli |x|, top the
     largest: its largest term is 1, so no large p underflows it to 0, and
-    in c0 (p = inf) it is top, the sup norm.  Zero coordinates are skipped.
+    in c0 (p = inf) it is top, the sup norm.  Zero coordinates are skipped,
+    and each modulus comes from the exact square (``_modulus``), so a nonzero
+    coordinate whose square underflows a float still counts.
     Raises ValueError when an unbounded range has no usable certificate.
     """
     p = op.space_exponent
@@ -110,8 +123,7 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
         while tail > tail_tol:
             stop, tail = stop + 1, tail * ratio
 
-    moduli = [math.sqrt(float(value.abs_sq()))
-              for value in map(vector, range(start, stop)) if value]
+    moduli = [_modulus(value.abs_sq()) for value in map(vector, range(start, stop)) if value]
     top = max(moduli, default=0.0)
     if top == 0.0:
         return tail

@@ -18,6 +18,7 @@ measured by ``density_experiment``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -314,13 +315,21 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     """Materialize the return set to ``horizon``.
 
     Both routes walk, for each level whose block has positive-real offsets,
-    candidate sites k <= horizon + radius, and keep every n = k - j (j a
-    positive offset, 1 <= n <= horizon) whose exact coefficient
-    ``expansion_coefficient(av, n)`` has positive real part.  They differ
-    only in where the sites come from: ``sites`` takes the ``strip_sites``
-    lists (``site_members``); ``scan`` takes ``aligned_sites``, the level's
-    aligned multiples that pass the modular ``in_site_set`` test, so it never
-    touches the site lists.
+    the level's sorted site list up to horizon + radius, and keep every
+    n = k - j (k a site, j a positive offset, 1 <= n <= horizon) whose exact
+    coefficient ``expansion_coefficient(av, n)`` has positive real part.
+    They differ only in where the sites come from: ``sites`` takes the
+    ``strip_sites`` lists (``site_members``); ``scan`` lists ``aligned_sites``,
+    the level's aligned multiples that pass the modular ``in_site_set`` test,
+    so it never touches the site lists.
+
+    The walk runs over offsets outside and sites inside.  For offset j the
+    window 1 + j <= k <= horizon + j is cut out of the sorted list by
+    bisection, so each candidate costs one ``expansion_coefficient`` call and
+    no range test.  The sign is read as ``b is a or b.re_positive()``, with a
+    the walked coefficient at offset j: a has positive real part, so the
+    identity settles the common case exactly, and any other object b (another
+    level's coefficient, a planted value) is judged by its own real part.
 
     The scan equals the per-index scan ``{n : Re b(n) > 0}`` for any block
     contents, with no appeal to separation.  If Re b(n) > 0, then
@@ -338,25 +347,33 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     A member at offset 0 is the walked site's own int object, not a copy,
     so at depth the return set adds no second copy of the site list's
     integers (level 1 holds most sites and always has offset 0 positive).
-    It is confirmed like every other candidate.
+    It is confirmed like every other candidate.  Each level's list is
+    dropped once walked, so sorting ``found`` holds no site list.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if method not in ("sites", "scan"):
         raise ValueError("method must be 'sites' or 'scan'")
+    coefficient = expansion_coefficient  # read per call: the suite and the tracer rebind it
     found: list[int] = []
+    append = found.append
     for level in av.active_levels:
         block = av.blocks[level]
         offsets = block.positive_offsets()
         if not offsets:
             continue
         limit = horizon + block.radius
-        for k in (aligned_sites(av.params, level, 1, limit) if method == "scan"
-                  else site_members(av.params, level, limit)):
-            for j in offsets:
+        sites = (list(aligned_sites(av.params, level, 1, limit)) if method == "scan"
+                 else site_members(av.params, level, limit))
+        for j in offsets:
+            a = block.coeffs[j]
+            for k in itertools.islice(sites, bisect_left(sites, 1 + j),
+                                      bisect_right(sites, horizon + j)):
                 n = k - j if j else k  # at offset 0 keep the site's own int
-                if 1 <= n <= horizon and expansion_coefficient(av, n).re_positive():
-                    found.append(n)
+                b = coefficient(av, n)
+                if b is a or b.re_positive():
+                    append(n)
+        del sites
     found.sort()
     return ReturnSet(members=tuple(found))
 

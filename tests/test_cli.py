@@ -516,6 +516,32 @@ class TestInvalidConfig:
         assert capsys.readouterr().err == f"error: {where}: checkpoints must lie in 2..256\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_p_bound(self, tmp_path, capsys, monkeypatch, source):
+        # past p = 8192 an artifact integer can outgrow the digits Python
+        # prints, so 8193 exits 2 before any stage runs, naming its source
+        config = tmp_path / "run.cfg"
+        config.write_text("p=8193\n")
+        argv, where = {"flag": (["--p", "8193"], "--p"),
+                       "file": (["--config", str(config)], f"{config}:1: p"),
+                       "env": ([], "ORBITDENSITY_P")}[source]
+        if source == "env":
+            monkeypatch.setenv("ORBITDENSITY_P", "8193")
+        out = tmp_path / "out"
+        assert run(["fact0", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {where}: p must be <= 8192, given or derived from d (here 8193)\n"
+        assert not out.exists()
+
+    def test_p_edge(self, tmp_path, capsys):
+        # the bound holds for a p derived from d as well as a given one
+        assert RunConfig(p=8192).p == 8192
+        out = tmp_path / "out"
+        assert run(["fact0", "--d", str(2 ** 8194), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --d: p must be <= 8192, given or derived from d (here 8194)\n"
+        assert not out.exists()
+
     def test_checkpoints_edge(self):
         assert RunConfig(checkpoints=256).checkpoints == 256
         with pytest.raises(ValueError):

@@ -189,6 +189,14 @@ class TestVectorNorm:
         vec = table({0: GaussianRational(Fraction(1, 1000))})
         assert vector_norm(op, vec, 0, 1) >= 1 / 1000 * (1 - 1e-12)
 
+    @pytest.mark.parametrize("space", ["l2", "lp:3", "lp:1000", "c0"])
+    def test_tiny_modulus_is_kept(self, space):
+        # the square 2^-1200 underflows a float; the modulus 2^-600 does not,
+        # and it is read off the exact square, so the norm is not 0.0
+        op = ShiftOperator(space_exponent=SPACES[space])
+        vec = table({0: GaussianRational(Fraction(1, 2 ** 600))})
+        assert math.isclose(vector_norm(op, vec, 0, 1), 2.0 ** -600, rel_tol=1e-15)
+
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("zero", [ZERO, FloatCoeff()], ids=["exact", "float"])
     def test_interleaved_zeros_change_nothing(self, space, zero):

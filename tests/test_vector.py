@@ -442,6 +442,56 @@ class TestReturnSet:
                 assert list(return_set(av, cut, method=method).members) == \
                     [n for n in expected if n <= cut], method
 
+    @pytest.mark.parametrize("method", ["scan", "sites"])
+    def test_sign_read_off_each_candidate(self, params, op, budgets, monkeypatch, method):
+        # the walk keeps a candidate at once only when b(n) is the walked
+        # coefficient object itself; an equal copy is read by its real part
+        # and kept, and a planted imaginary value at a member is dropped
+        av = AssembledVector(params, op, budgets, family_blocks("hand-built", budgets))
+        horizon = 2 ** 12
+        expected = return_set(av, horizon, method=method).members
+        kept, dropped = expected[0], expected[1]
+        exact = vector_module.expansion_coefficient
+
+        def planted(av, n):
+            b = exact(av, n)
+            if n == kept:
+                copy = GaussianRational(b.re, b.im)
+                assert copy is not b and copy == b
+                return copy
+            return gr(0, 1) if n == dropped else b
+
+        monkeypatch.setattr(vector_module, "expansion_coefficient", planted)
+        members = return_set(av, horizon, method=method).members
+        assert members == tuple(n for n in expected if n != dropped)
+
+    @pytest.mark.parametrize("method", ["scan", "sites"])
+    def test_one_read_per_placement(self, params, op, budgets, monkeypatch, method):
+        # one coefficient read per (site k, positive offset j) with
+        # 1 <= k - j <= horizon, counted here from the site lists
+        av = AssembledVector(params, op, budgets, family_blocks("hand-built", budgets))
+        reference = return_set(av, 2 ** 14, method=method).members
+        calls = 0
+        exact = vector_module.expansion_coefficient
+
+        def counted(av, n):
+            nonlocal calls
+            calls += 1
+            return exact(av, n)
+
+        monkeypatch.setattr(vector_module, "expansion_coefficient", counted)
+        for horizon in [n + d for n in reference[:8] for d in (-1, 0, 1)] + [2 ** 14]:
+            placements = 0
+            for level in av.active_levels:
+                block = av.blocks[level]
+                for k in site_members(av.params, level, horizon + block.radius):
+                    placements += sum(1 for j in block.positive_offsets()
+                                      if 1 <= k - j <= horizon)
+            calls = 0
+            assert return_set(av, horizon, method=method).members == \
+                tuple(n for n in reference if n <= horizon)
+            assert calls == placements, horizon
+
     def test_scan_needs_no_site_lists(self, enumerated_av, monkeypatch):
         # the scan is the modular route; it must not lean on the site lists
         horizon = 2 ** 14

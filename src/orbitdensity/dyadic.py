@@ -33,6 +33,7 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterator, NamedTuple, Optional
 
 from .scalars import Frozen
@@ -62,14 +63,12 @@ MASS_SUP_BOUND = max(_MASS_LIMITS)
 def min_alignment_exponent(d: int) -> int:
     """Smallest p >= 1 with 2^(s+1+p) >= 2^(s+1) + 2d + 1 for every s >= 1.
 
-    The gap 2^(s+1)(2^p - 1) grows with s, so s = 1 is the binding case.
+    The gap 2^(s+1)(2^p - 1) grows with s, so s = 1 binds: 2^(p+2) > 2d + 4,
+    that is p + 2 >= (2d + 4).bit_length().
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    p = 1
-    while 2 ** (2 + p) < 4 + 2 * d + 1:
-        p += 1
-    return p
+    return max(1, (2 * d + 4).bit_length() - 2)
 
 
 class SeparationParams(Frozen):
@@ -172,12 +171,10 @@ def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
 
 def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator[range]:
     """Each selected scale's ``strip_sites`` range, clipped to [1, horizon]."""
-    scale = params.min_scale(level)
-    while 2 ** scale <= horizon:
+    for scale in range(params.min_scale(level), horizon.bit_length()):
         if scale_selected(scale):
             sites = strip_sites(params, level, scale)
             yield range(sites.start, min(sites.stop, horizon + 1), sites.step)
-        scale += 1
 
 
 def aligned_sites(params: SeparationParams, level: int, lo: int, hi: int) -> Iterator[int]:
@@ -336,21 +333,23 @@ def _report(check: str, params: SeparationParams, range_: dict,
 def verify_separation(params: SeparationParams, max_level: int,
                       horizon: int) -> CheckReport:
     """Members <= horizon of levels l, l' (l = l' too) are at least
-    2^(max(l,l')+1)+2d+1 apart; only neighbours in the merged order of all
-    levels need comparing, as a wider pair spans one neighbouring gap on each
-    side.  Stops at the first violation, so a too-close same-level pair that
-    straddles another level's member shows as a ``cross_level_gap``.  Every
-    level-s site is >= 2^(2s+p+2) > 2^(s+1), so no floor check is needed.
+    need[max(l,l')] = 2^(max(l,l')+1)+2d+1 apart, ``need`` growing with the
+    level; only neighbours in the merged order of all levels need comparing,
+    as a wider pair spans one neighbouring gap on each side.  Stops at the
+    first violation, so a too-close same-level pair that straddles another
+    level's member shows as a ``cross_level_gap``.  Every level-s site is
+    >= 2^(2s+p+2) > 2^(s+1), so no floor check is needed.
 
     The walk is run by run, a run being one ``_site_ranges`` range of one
     level.  Each run lies in its own strip, and strips with distinct
     (level, scale) never overlap, so the nonempty runs sorted by
-    (start, level) list the members in exactly their merged order: the
-    neighbours inside a run are all ``step`` apart, compared once as the
-    pair (r[0], r[1]), and the neighbours across runs are one run's last
-    member and the next run's first.  The check fails closed: were two runs
-    ever to interleave, the run sorted right after the earlier-starting one
-    would start at or below that one's last member, a cross gap <= 0.
+    (start, level) list the members in exactly their merged order.  Each run
+    r stands there as r[0], r[1], r[-1] (each once) and consecutive entries
+    are compared: (r[0], r[1]) is ``step`` apart, the extra pair (r[1], r[-1])
+    spans len - 2 steps so it passes when (r[0], r[1]) does, and one run's
+    last member meets the next run's first.  The check fails closed: were two
+    runs ever to interleave, the run sorted right after the earlier-starting
+    one would start at or below that one's last member, a cross gap <= 0.
     """
     if max_level < 1 or horizon < 1:
         raise ValueError("max_level and horizon must be >= 1")
@@ -360,29 +359,16 @@ def verify_separation(params: SeparationParams, max_level: int,
     runs = sorted(((level, sites) for level in need
                    for sites in _site_ranges(params, level, horizon) if sites),
                   key=lambda run: (run[1].start, run[0]))
-    for (n1, l1), (n2, l2) in _neighbour_pairs(runs):
-        gap = n2 - n1
-        if gap < need[l1] or gap < need[l2]:
+    ends = [(n, level) for level, sites in runs
+            for n in (sites[0], *sites[1:2], *sites[2:][-1:])]
+    for (n1, l1), (n2, l2) in pairwise(ends):
+        gap, required = n2 - n1, need[max(l1, l2)]
+        if gap < required:
             where = ({"condition": "same_level_gap", "level": l1} if l1 == l2 else
                      {"condition": "cross_level_gap", "levels": [l1, l2]})
             return _report("separation", params, range_, {
-                **where, "i": n1, "i_prime": n2, "gap": gap,
-                "required": need[max(l1, l2)]})
+                **where, "i": n1, "i_prime": n2, "gap": gap, "required": required})
     return _report("separation", params, range_)
-
-
-def _neighbour_pairs(runs: list[tuple[int, range]]
-                     ) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """Each distinct neighbouring ((member, level), (member, level)) pair of
-    the (level, run) list, in member order: the previous run's last member
-    with this run's first, then this run's first two members."""
-    previous = None
-    for level, sites in runs:
-        if previous is not None:
-            yield previous, (sites[0], level)
-        if sites[1:]:
-            yield (sites[0], level), (sites[1], level)
-        previous = (sites[-1], level)
 
 
 def verify_checkpoint_gap(params: SeparationParams, max_level: int,
@@ -448,11 +434,10 @@ def verify_mass_bound(params: SeparationParams, max_level: int,
 
 def verify_class_limits(params: SeparationParams, max_level: int) -> CheckReport:
     """Counting ratios at the checkpoints with q in [q0, q0 + 12], q0 =
-    max(20, ``params.min_scale(max_level)`` + 7), within 2% of their class
-    limit L(q mod 5) * 2^-ms, ms = ``params.min_scale(level)``.  A ratio
-    falls short of it by exactly (L((ms-1) mod 5) + N) / 2^(q+1) (see
-    ``verify_mass_bound``), at most 2^(ms-q-1) * (40/31 + N) / (36/31) of it:
-    below 1.8% at q - ms = 7, where N <= 4, and less beyond; up to 2.5% at 6."""
+    max(20, ``params.min_scale(max_level)`` + 7), each short of its class
+    limit L(q mod 5) * 2^-ms, ms = ``params.min_scale(level)``, by exactly
+    (L((ms-1) mod 5) + N) / 2^(q+1), N = #selected scales in [ms, q] (see
+    ``verify_mass_bound``).  The window only fixes the reported q_range."""
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     q0 = max(20, params.min_scale(max_level) + 7)
@@ -460,10 +445,13 @@ def verify_class_limits(params: SeparationParams, max_level: int) -> CheckReport
     range_ = {"max_level": max_level,
               "q_range": [schedule.exponents[0], schedule.exponents[-1]]}
     for level in range(1, max_level + 1):
+        ms = params.min_scale(level)
         for q, horizon in zip(schedule.exponents, schedule.horizons):
-            limit = scale_mass_limit(q % SCALE_PERIOD) / 2 ** params.min_scale(level)
+            limit = scale_mass_limit(q % SCALE_PERIOD) / 2 ** ms
             ratio = Fraction(count_sites(params, level, horizon), horizon)
-            if abs(ratio - limit) > Fraction(2, 100) * limit:
+            shortfall = scale_mass_limit((ms - 1) % SCALE_PERIOD) + sum(
+                map(scale_selected, range(ms, q + 1)))
+            if limit - ratio != shortfall / horizon:
                 return _report("class_limits", params, range_, {
                     "condition": "class_limit", "level": level, "q": q,
                     "ratio": str(ratio), "limit": str(limit)})

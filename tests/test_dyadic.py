@@ -76,6 +76,20 @@ class TestAlignmentExponent:
             for s in range(1, 30):
                 assert 2 ** (s + 1 + p) >= 2 ** (s + 1) + 2 * d + 1
 
+    def test_smallest_exponent(self):
+        # the closed form against the search it replaces: smallest p >= 1 with
+        # 2^(s+1+p) >= 2^(s+1) + 2d + 1 at the binding level s = 1, over every
+        # small d and around every power of two up to 2^400
+        def searched(d):
+            p = 1
+            while 2 ** (2 + p) < 2 ** 2 + 2 * d + 1:
+                p += 1
+            return p
+
+        edges = [d for k in range(2, 401) for d in range(2 ** k - 3, 2 ** k + 2)]
+        for d in [*range(1, 20_001), *edges]:
+            assert min_alignment_exponent(d) == searched(d), d
+
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
             min_alignment_exponent(0)
@@ -428,6 +442,19 @@ class TestVerifySeparation:
             "condition": "cross_level_gap", "levels": levels, "i": i,
             "i_prime": i_prime, "gap": i_prime - i, "required": required}
 
+    @pytest.mark.parametrize("run", [range(100, 140, 5), range(300, 312, 6)],
+                             ids=["eight-members", "two-members"])
+    def test_short_step_fails_at_the_first_pair(self, params, monkeypatch, run):
+        # a run whose step is below need fails at (r[0], r[1]), before the
+        # (r[1], r[-1]) pair that stands in for the rest of the run
+        planted = {1: [range(20, 21), run], 2: [range(600, 601)], 3: []}
+        monkeypatch.setattr(dyadic, "_site_ranges",
+                            lambda _params, level, _horizon: planted[level])
+        report = verify_separation(params, 3, 2 ** 10)
+        assert report.first_violation == {
+            "condition": "same_level_gap", "level": 1, "i": run[0],
+            "i_prime": run[1], "gap": run.step, "required": 7}
+
     def test_interleaved_runs_fail_closed(self, params, monkeypatch):
         # members 100, 200, 300 are 100 apart, but the level-2 run sits inside
         # the level-1 run's span, which real strips never allow: the run
@@ -604,6 +631,20 @@ class TestSuiteChecks:
         # no alignment exponent pushes it onto a ratio still far from its limit
         for p in range(min_alignment_exponent(d), 31):
             assert verify_class_limits(SeparationParams(d=d, p=p), 3).passed
+
+    def test_class_limits_reject_an_off_by_one_count(self, monkeypatch):
+        # one extra site at 2^23 moves the level-1 ratio by 2^-23, well inside
+        # any percentage window; the exact shortfall catches it
+        params = SeparationParams.with_min_p(1)
+        true_count = dyadic.count_sites
+        monkeypatch.setattr(dyadic, "count_sites", lambda params, level, horizon:
+                            true_count(params, level, horizon)
+                            + (level == 1 and horizon == 2 ** 23))
+        report = verify_class_limits(params, 3)
+        assert not report.passed
+        assert report.first_violation == {
+            "condition": "class_limit", "level": 1, "q": 22,
+            "ratio": "338243/8388608", "limit": "5/124"}
 
     def test_class_limit_window_offset_is_tight(self):
         # one scale earlier the ratio is too far off: at d = 62 (p = 6), level

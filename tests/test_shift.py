@@ -119,7 +119,7 @@ class TestTailConstant:
     def test_doubly_exponential_ratio(self, op):
         for s in range(1, 6):
             ratio = tail_constant(op, s + 1) / tail_constant(op, s)
-            assert ratio == pytest.approx(2.0 ** -(2 ** s), rel=1e-9)
+            assert ratio == pytest.approx(2.0 ** -(2 ** s), rel=1e-9, abs=0)
 
     def test_decreasing_to_zero(self, op):
         values = [tail_constant(op, s) for s in range(1, 11)]
@@ -262,4 +262,4 @@ class TestTailBound:
             op = ShiftOperator(space_exponent=exponent)
             value = chain_sum_norm(op, indices, [1.0] * len(indices))
             assert value <= tail_constant(op, level) * (1.0 + 1e-9)
-            assert value == pytest.approx(tail_constant(op, level), rel=1e-9)
+            assert value == pytest.approx(tail_constant(op, level), rel=1e-9, abs=0)

@@ -85,7 +85,7 @@ def mixed_av(params, op, budgets):
 class TestBudgets:
     def test_partial_sum_value(self, op, budgets):
         expected = sum(s * tail_constant(op, s) for s in range(1, 7))
-        assert budgets.weighted_partials[-1] == pytest.approx(expected, rel=1e-12)
+        assert budgets.weighted_partials[-1] == pytest.approx(expected, rel=1e-12, abs=0)
         assert 0.44 < budgets.weighted_partials[-1] < 0.45
 
     def test_budget_values(self, budgets):
@@ -577,12 +577,12 @@ class TestPredictedLimits:
 class TestApproachBound:
     def test_level_one_value(self, one_block_av, op):
         expected = sum(s * tail_constant(op, s) for s in range(1, 40))
-        assert approach_bound(one_block_av, 1) == pytest.approx(expected, rel=1e-12)
+        assert approach_bound(one_block_av, 1) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_level_two_value(self, one_block_av, op):
         expected = tail_constant(op, 2) + \
             sum(s * tail_constant(op, s) for s in range(2, 40))
-        assert approach_bound(one_block_av, 2) == pytest.approx(expected, rel=1e-12)
+        assert approach_bound(one_block_av, 2) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_slow_weight_tail(self, params):
         # at w = 1001/1000 the terms s * eps(s) still grow past smax = 2, and

@@ -20,6 +20,9 @@ from .dyadic import (
     scale_mass,
     scale_mass_limit,
     site_members,
+    # bound in dyadic (in_site_set) and in vector (expansion_coefficient's
+    # windows): a mutant of it must patch both module bindings
+    site_window,
     strip,
     strip_sites,
     verify_checkpoint_gap,

@@ -21,10 +21,13 @@ oscillates forever between two distinct values along the checkpoint
 horizons 2^(q+1).
 
 A level's sites are walked two ways: ``_site_ranges`` yields each selected
-strip's ``strip_sites`` range (behind ``site_members``, ``count_sites`` and
-``verify_separation``), and ``aligned_sites`` puts each aligned multiple of
-the modulus in a window to the modular test ``in_site_set``, touching no site
-list.
+strip's ``strip_sites`` range (behind ``site_members``, ``count_sites``,
+``first_site`` and ``verify_separation``), and ``aligned_sites`` puts each
+aligned multiple of the modulus in a window to the modular test
+``in_site_set``, touching no site list.  The modular route reads the strip
+from its bit form alone: ``site_window`` gives, per scale, the open bounds
+that hold the level's sites, and ``in_site_set`` is the alignment mask plus
+that window (``expansion_coefficient`` reads the same windows).
 
 Everything here is exact integer/rational arithmetic; per-scale counts use
 closed-form range arithmetic so horizons near 2^33 stay cheap.
@@ -33,6 +36,7 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import pairwise
 from typing import Iterator, NamedTuple, Optional
 
@@ -141,32 +145,44 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
     return range(lo + m, hi, m)
 
 
-def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
-    """Membership in the level's site set (selected scales only): the test
-    ``strip_sites`` states, by shift and mask.
+@cache
+def site_window(p: int, level: int, scale: int) -> tuple[int, int]:
+    """Open bounds (lo, hi) of the level's sites among the integers of bit
+    length ``scale + 1``, for alignment exponent ``p``:
+    (0, 0), which holds none, when the scale is unselected or below
+    ``min_scale(level)`` = 2 * level + p + 2.
 
-    The modulus is m = 2^shift, shift = level + 1 + p, so n is aligned when
-    its low ``shift`` bits are 0.  The scale j = ``n.bit_length() - 1`` must
-    be selected and at least ``min_scale(level)`` = level + shift + 1.  With
-    w = 2^(j - level), strip(level, j) = [2^(j+1) - 2w, 2^(j+1) - w) holds
-    exactly the n with n // w = 2^(level+1) - 2: the top level + 1 bits of n
-    read 1...10.  From ``min_scale`` on, w is a multiple of m, so both strip
-    ends are aligned, the aligned n in the strip are lo, lo + m, ..., hi - m,
-    and all but lo lie a modulus away from the complement.  For an aligned n
-    in the strip, "interior" thus means "not the lower end": n mod w != 0.
-    Every n <= 1 is rejected: 0 has scale -1, 1 is not aligned, and a
-    negative n has a negative quotient.
+    With low = scale - level and w = 2^low, strip(level, scale) =
+    [2^(scale+1) - 2w, 2^(scale+1) - w) = [top * w, (top + 1) * w) for
+    top = 2^(level+1) - 2, the n whose top level + 1 bits read 1...10.  The
+    modulus is m = 2^(level+1+p), and from ``min_scale`` on w is a multiple
+    of m, so both strip ends are aligned: the aligned n in the strip are
+    lo, lo + m, ..., hi - m, and all but lo lie a modulus away from the
+    complement (``strip_sites``).  So an aligned n is a site exactly when
+    lo < n < hi, and that window lies inside [2^scale, 2^(scale+1)).
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    shift = level + 1 + params.p
-    if n & ((1 << shift) - 1):
-        return False
-    scale = n.bit_length() - 1
-    if scale <= level + shift or scale % SCALE_PERIOD not in SELECTED_RESIDUES:
-        return False
+    if scale < 2 * level + p + 2 or scale % SCALE_PERIOD not in SELECTED_RESIDUES:
+        return 0, 0
     low = scale - level
-    return n >> low == (2 << level) - 2 and n & ((1 << low) - 1) != 0
+    top = (2 << level) - 2
+    return top << low, (top + 1) << low
+
+
+def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
+    """Membership in the level's site set (selected scales only): n is
+    aligned, its low level + 1 + p bits 0, and lies inside the
+    ``site_window`` of its scale n.bit_length() - 1.  Every n <= 1 is
+    rejected: 0 and a negative n lie below every window, and 1 is not
+    aligned.
+    """
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if n & ((1 << level + 1 + params.p) - 1):
+        return False
+    lo, hi = site_window(params.p, level, n.bit_length() - 1)
+    return lo < n < hi
 
 
 def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator[range]:
@@ -190,6 +206,12 @@ def site_members(params: SeparationParams, level: int, horizon: int) -> list[int
     for sites in _site_ranges(params, level, horizon):
         out.extend(sites)
     return out
+
+
+def first_site(params: SeparationParams, level: int) -> int:
+    """The level's first site: the start of its first nonempty ``_site_ranges``
+    range below ``first_site_bound``, read off the strips, not ``site_window``."""
+    return next(filter(None, _site_ranges(params, level, first_site_bound(params, level)))).start
 
 
 def count_sites(params: SeparationParams, level: int, horizon: int) -> int:

@@ -29,11 +29,12 @@ from .dyadic import (
     CLASS2,
     aligned_sites,
     count_sites,
-    first_site_bound,
+    first_site,
     in_site_set,
     is_checkpoint_horizon,
     scale_mass_limit,
     site_members,
+    site_window,
 )
 from .densities import density_ratios
 from .scalars import Frozen, GaussianRational, ZERO, ONE
@@ -171,6 +172,20 @@ def dense_family_blocks(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
     return blocks
 
 
+class _SiteWindows(dict):
+    """Bit length -> one level's ``site_window`` at scale bit length - 1,
+    filled on first read."""
+
+    __slots__ = ("p", "level")
+
+    def __init__(self, p: int, level: int) -> None:
+        self.p, self.level = p, level
+
+    def __missing__(self, length: int) -> tuple[int, int]:
+        window = self[length] = site_window(self.p, self.level, length - 1)
+        return window
+
+
 class AssembledVector:
     """The placed-block coefficient vector; immutable after construction.
 
@@ -202,11 +217,11 @@ class AssembledVector:
         self.blocks = {level: blocks[level] if level in blocks else CoefficientBlock(level, {})
                        for level in range(1, self.max_level + 1)}
 
-        # hot-path data for coefficient lookups: (level, -modulus, radius,
-        # coeffs); x & -modulus floors x to a multiple of the power-of-two
+        # hot-path data for coefficient lookups: (-modulus, radius, coeffs,
+        # windows); x & -modulus floors x to a multiple of the power-of-two
         # modulus, negative x included
         self._lookup = tuple(
-            (level, -params.modulus(level), 2 ** level, block.coeffs)
+            (-params.modulus(level), 2 ** level, block.coeffs, _SiteWindows(params.p, level))
             for level, block in self.blocks.items()
             if not block.is_zero
         )
@@ -228,16 +243,19 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
     less than the level's alignment modulus, so at most one aligned
     candidate k <= index + radius per level can cover the index.  Its offset
     k - index is looked up first: a block holds only offsets |j| <= radius,
-    so a hit already implies k >= index - radius, and only then does
-    membership of k in the site set settle it.  An index <= 1 finds only
-    candidates <= 0, which ``in_site_set`` rejects.
+    so a hit already implies k >= index - radius, and only then does the
+    site set settle it.  The candidate is aligned by construction, so it is
+    a site exactly when it lies inside the level's ``site_window`` for its
+    bit length, the test ``in_site_set`` makes after its mask.  An index
+    <= 1 finds only candidates <= 0, which lie below every window.
     """
-    params = av.params
-    for level, mask, radius, coeffs in av._lookup:
+    for mask, radius, coeffs, windows in av._lookup:
         k = (index + radius) & mask
         hit = coeffs.get(k - index)
-        if hit is not None and in_site_set(params, level, k):
-            return hit
+        if hit is not None:
+            lo, hi = windows[k.bit_length()]
+            if lo < k < hi:
+                return hit
     return ZERO
 
 
@@ -250,8 +268,9 @@ class SeriesOracle:
     stored as is, and an overlap adds every later one to it, never
     overwrites it, so the map does not assume separation: two overlapping
     windows would show up as a disagreement with ``expansion_coefficient``.
-    No ``in_site_set`` or ``expansion_coefficient`` call is involved, so this
-    route shares no membership test with the route it checks.
+    No ``site_window``, ``in_site_set`` or ``expansion_coefficient`` call is
+    involved, so this route shares no membership test with the route it
+    checks.
     """
 
     def __init__(self, av: AssembledVector, horizon: int) -> None:
@@ -294,7 +313,7 @@ def site_hit_count(av: AssembledVector, level: int, verify: bool = True) -> int:
     count = len(block.positive_offsets())
     if verify:
         params = av.params
-        k = site_members(params, level, first_site_bound(params, level))[0]
+        k = first_site(params, level)
         span = block.radius + params.d
         direct = sum(1 for n in range(k - span, k + span + 1)
                      if expansion_coefficient(av, n).re_positive())
@@ -334,7 +353,7 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     The scan equals the per-index scan ``{n : Re b(n) > 0}`` for any block
     contents, with no appeal to separation.  If Re b(n) > 0, then
     ``expansion_coefficient`` returned the coefficient at offset k - n of
-    some level, for an aligned k <= n + radius that passed ``in_site_set``;
+    some level, for an aligned k <= n + radius inside its ``site_window``;
     that offset is one of the level's positive offsets, so the walk
     generates n.  Every walked n is confirmed by ``expansion_coefficient``.
     Both routes are exact and must agree (the suite compares them).
@@ -544,7 +563,7 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
     every offset j of the block with 1 <= k - j <= n_max.  That covers every
     nonzero b(n): ``expansion_coefficient`` returns a nonzero value only as
     the coefficient at offset k - n of some level, for an aligned
-    k <= n + radius that passed ``in_site_set``, so the walk generates that
+    k <= n + radius inside its ``site_window``, so the walk generates that
     n.  The oracle is read at every step the walk holds and every step it
     stores (``oracle.steps``); every other n is zero on both routes.
 

@@ -19,6 +19,7 @@ from orbitdensity import (
     scale_mass,
     scale_mass_limit,
     site_members,
+    site_window,
     strip,
     strip_sites,
     verify_checkpoint_gap,
@@ -175,21 +176,55 @@ class TestMembership:
                                 assert in_site_set(params, level, n) == expected, \
                                     (p, level, n)
 
+    def test_site_window_is_the_strip_interior(self):
+        # reference: strip_sites' first and last site bound the window by one
+        # modulus; scales unselected or below min_scale hold no window
+        for p in (0, 1, 5, 19):
+            params = SeparationParams(d=1, p=p)
+            for level in range(1, 9):
+                m = params.modulus(level)
+                for scale in [*range(level, 70), 201, 202, 205]:
+                    window = site_window(p, level, scale)
+                    if scale < params.min_scale(level) or scale % 5 not in (0, 2):
+                        assert window == (0, 0), (p, level, scale)
+                    else:
+                        sites = strip_sites(params, level, scale)
+                        assert window == (sites[0] - m, sites[-1] + m), (p, level, scale)
+                        assert window[1].bit_length() == scale + 1
+
+    def test_first_site_reads_the_strips(self, params, monkeypatch):
+        # first_site is the strip route's answer, so it checks the window
+        # route rather than repeating it
+        expected = []
+        for level in range(1, 9):
+            ms = params.min_scale(level)
+            scale = next(j for j in range(ms, ms + 5) if j % 5 in (0, 2))
+            expected.append(strip_sites(params, level, scale)[0])
+
+        def forbidden(*args):
+            raise AssertionError("first_site reached the modular route")
+
+        monkeypatch.setattr(dyadic, "site_window", forbidden)
+        monkeypatch.setattr(dyadic, "in_site_set", forbidden)
+        assert [dyadic.first_site(params, level) for level in range(1, 9)] == expected
+
     def test_examples(self, params):
         assert in_site_set(params, 1, 40)
         assert not in_site_set(params, 1, 72)  # scale 6 is not selected
         assert not in_site_set(params, 1, 41)  # misaligned
 
     def test_membership_needs_no_site_lists(self, params, monkeypatch):
-        # in_site_set is the modular route; it must not lean on the site lists
+        # in_site_set is the modular route; it must not lean on the site lists,
+        # and a cold site_window cache makes every window be worked out here
         horizon = 2 ** 14
         expected = {level: site_members(params, level, horizon) for level in range(1, 6)}
 
         def forbidden(*args):
             raise AssertionError("in_site_set reached the site-list route")
 
-        monkeypatch.setattr(dyadic, "strip_sites", forbidden)
-        monkeypatch.setattr(dyadic, "site_members", forbidden)
+        dyadic.site_window.cache_clear()
+        for name in ("strip", "strip_sites", "site_members", "_site_ranges"):
+            monkeypatch.setattr(dyadic, name, forbidden)
         for level, members in expected.items():
             assert [n for n in range(1, horizon + 1)
                     if in_site_set(params, level, n)] == members
@@ -221,6 +256,9 @@ class TestMembership:
         for n in (0, 1, 40, 64):
             with pytest.raises(ValueError):
                 in_site_set(params, 0, n)
+        for scale in (-1, 0, 10):
+            with pytest.raises(ValueError):
+                site_window(params.p, 0, scale)
 
     def test_pool_contains_site_set(self, params):
         for level in (1, 2, 3):

@@ -45,6 +45,11 @@ def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
 
 
+def fresh_copy(av):
+    """The same assembly built anew, with none of its site windows read yet."""
+    return AssembledVector(av.params, av.op, av.budgets, av.blocks)
+
+
 def separated(rows):
     """Every class-2 ratio strictly above every class-1 ratio among ``rows``."""
     class1 = [row.ratio for row in rows if row.label == dyadic.CLASS1]
@@ -203,7 +208,57 @@ class TestDenseFamily:
             assert all(a.abs_sq() <= cap for a in block.coeffs.values())
 
 
+# the (d, p) pairs of the CI sweep: run.cfg, --d 3 ... 524286 (p = 19),
+# --p 6 and --p 8
+SWEEP = [SeparationParams.with_min_p(d) for d in (1, 3, 14, 62, 100, 1000, 524286)] + [
+    SeparationParams(d=1, p=6), SeparationParams(d=1, p=8)]
+
+
+def strip_reference(av, n):
+    """b(n) from the strip_sites ranges alone: the sum of a_j over every
+    level and offset j whose n + j is a site of the strip its scale picks."""
+    total = ZERO
+    for level, block in av.blocks.items():
+        for j, a in block.coeffs.items():
+            k = n + j
+            scale = k.bit_length() - 1
+            if (scale >= av.params.min_scale(level) and scale % 5 in (0, 2)
+                    and k in dyadic.strip_sites(av.params, level, scale)):
+                total = total + a
+    return total
+
+
 class TestExpansionCoefficient:
+    @pytest.mark.parametrize("family", ["one-block", "enumerated", "hand-built"])
+    def test_strip_ends_at_depth(self, op, family):
+        # every strip of levels 1-8 from min_scale to 64, and at 202: at its
+        # first and last site b(k - j) is the block's a_j for each offset j,
+        # or ZERO when the scale is unselected; at its ends lo and hi it is
+        # ZERO, and at the aligned points a modulus outside, lo - m (a site of
+        # level - 1 at the same scale) and hi + m, it is the strip reference
+        budgets = build_level_budgets(op, 8)
+        blocks = family_blocks(family, budgets)
+        for params in SWEEP:
+            av = AssembledVector(params, op, budgets, blocks)
+            for level, block in av.blocks.items():
+                m = params.modulus(level)
+                offsets = {**block.coeffs, 0: block.coeffs.get(0, ZERO)}
+                for scale in [*range(params.min_scale(level), 65), 202]:
+                    sites = dyadic.strip_sites(params, level, scale)
+                    selected = scale % 5 in (0, 2)
+                    lo, hi = sites[0] - m, sites[-1] + m
+                    for j, a in offsets.items():
+                        where = (params.d, params.p, level, scale, j)
+                        for k in (sites[0], sites[-1]):
+                            assert expansion_coefficient(av, k - j) == \
+                                (a if selected else ZERO), where
+                        for k in (lo, hi):
+                            assert expansion_coefficient(av, k - j) == ZERO, where
+                        if selected:
+                            for k in (lo - m, hi + m):
+                                assert expansion_coefficient(av, k - j) == \
+                                    strip_reference(av, k - j), where
+
     def test_window_orientation(self, mixed_av):
         # site 40 carries offsets: b(40-j) = a(j)
         assert expansion_coefficient(mixed_av, 40) == ONE
@@ -255,6 +310,8 @@ class TestSeriesOracle:
         def forbidden(*args):
             raise AssertionError("SeriesOracle reached the membership route")
 
+        for module in (dyadic, vector_module):
+            monkeypatch.setattr(module, "site_window", forbidden)
         monkeypatch.setattr(vector_module, "in_site_set", forbidden)
         monkeypatch.setattr(vector_module, "expansion_coefficient", forbidden)
         oracle = SeriesOracle(av, horizon)
@@ -288,18 +345,21 @@ class TestSeriesOracle:
         assert sign_cross_check(enumerated_av, oracle, horizon) == [n]
 
     def test_cross_check_needs_no_site_lists(self, enumerated_av, monkeypatch):
-        # the exact side walks aligned sites; only the oracle reads site lists
+        # the exact side walks aligned sites; only the oracle reads site lists.
+        # A cold site_window cache and a fresh vector make every window be
+        # worked out here
         horizon = 2 ** 14
         oracle = SeriesOracle(enumerated_av, horizon)
+        dyadic.site_window.cache_clear()
+        av = fresh_copy(enumerated_av)
 
         def forbidden(*args):
             raise AssertionError("cross-check reached the site-list route")
 
-        monkeypatch.setattr(dyadic, "strip_sites", forbidden)
-        monkeypatch.setattr(dyadic, "site_members", forbidden)
-        monkeypatch.setattr(dyadic, "_site_ranges", forbidden)
+        for name in ("strip", "strip_sites", "site_members", "_site_ranges"):
+            monkeypatch.setattr(dyadic, name, forbidden)
         monkeypatch.setattr(vector_module, "site_members", forbidden)
-        assert sign_cross_check(enumerated_av, oracle, horizon) == []
+        assert sign_cross_check(av, oracle, horizon) == []
 
     def test_cross_check_cost_guard(self, enumerated_av, monkeypatch):
         # the cross-check reads b(n) around sites, never at every index
@@ -493,17 +553,21 @@ class TestReturnSet:
             assert calls == placements, horizon
 
     def test_scan_needs_no_site_lists(self, enumerated_av, monkeypatch):
-        # the scan is the modular route; it must not lean on the site lists
+        # the scan is the modular route; it must not lean on the site lists,
+        # and a cold site_window cache and a fresh vector make every window
+        # be worked out here
         horizon = 2 ** 14
         expected = return_set(enumerated_av, horizon, method="sites").members
+        dyadic.site_window.cache_clear()
+        av = fresh_copy(enumerated_av)
 
         def forbidden(*args):
             raise AssertionError("scan reached the site-list route")
 
-        monkeypatch.setattr(dyadic, "strip_sites", forbidden)
-        monkeypatch.setattr(dyadic, "site_members", forbidden)
+        for name in ("strip", "strip_sites", "site_members", "_site_ranges"):
+            monkeypatch.setattr(dyadic, name, forbidden)
         monkeypatch.setattr(vector_module, "site_members", forbidden)
-        assert return_set(enumerated_av, horizon, method="scan").members == expected
+        assert return_set(av, horizon, method="scan").members == expected
 
     def test_scan_cost_guard(self, enumerated_av, monkeypatch):
         # the scan confirms candidates around sites, never every index

@@ -20,8 +20,8 @@ from .dyadic import (
     scale_mass,
     scale_mass_limit,
     site_members,
-    # bound in dyadic (in_site_set) and in vector (expansion_coefficient's
-    # windows): a mutant of it must patch both module bindings
+    # bound in dyadic (in_site_set, aligned_sites) and in vector
+    # (expansion_coefficient's windows): a mutant must patch both bindings
     site_window,
     strip,
     strip_sites,

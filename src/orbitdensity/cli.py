@@ -274,7 +274,10 @@ def cmd_vector(config: RunConfig) -> int:
         horizon = max(2 ** 16, dyadic.first_site_bound(av.params, level))
         members = dyadic.site_members(av.params, level, horizon)
         picks = rng.sample(members, min(5, len(members)))
-        passed = all(verify_orbit_approach(av, level, n) for n in picks)
+        try:
+            passed = all(verify_orbit_approach(av, level, n) for n in picks)
+        except ValueError:  # a strip-route site the modular route rejects
+            passed = False
         approach.append({"level": level, "samples": sorted(picks), "pass": passed})
 
     payload = {

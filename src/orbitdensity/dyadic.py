@@ -22,12 +22,11 @@ horizons 2^(q+1).
 
 A level's sites are walked two ways: ``_site_ranges`` yields each selected
 strip's ``strip_sites`` range (behind ``site_members``, ``count_sites``,
-``first_site`` and ``verify_separation``), and ``aligned_sites`` puts each
-aligned multiple of the modulus in a window to the modular test
-``in_site_set``, touching no site list.  The modular route reads the strip
-from its bit form alone: ``site_window`` gives, per scale, the open bounds
-that hold the level's sites, and ``in_site_set`` is the alignment mask plus
-that window (``expansion_coefficient`` reads the same windows).
+``first_site`` and ``verify_separation``); ``aligned_sites`` touches no site
+list and steps by the modulus through each scale's ``site_window``, the open
+bounds of the level's sites read off the strip's bit form alone.  The point
+test ``in_site_set`` is the alignment mask plus that window, and
+``expansion_coefficient`` reads the same windows.
 
 Everything here is exact integer/rational arithmetic; per-scale counts use
 closed-form range arithmetic so horizons near 2^33 stay cheap.
@@ -36,7 +35,6 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import pairwise
 from typing import Iterator, NamedTuple, Optional
 
@@ -145,7 +143,6 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
     return range(lo + m, hi, m)
 
 
-@cache
 def site_window(p: int, level: int, scale: int) -> tuple[int, int]:
     """Open bounds (lo, hi) of the level's sites among the integers of bit
     length ``scale + 1``, for alignment exponent ``p``:
@@ -158,8 +155,8 @@ def site_window(p: int, level: int, scale: int) -> tuple[int, int]:
     modulus is m = 2^(level+1+p), and from ``min_scale`` on w is a multiple
     of m, so both strip ends are aligned: the aligned n in the strip are
     lo, lo + m, ..., hi - m, and all but lo lie a modulus away from the
-    complement (``strip_sites``).  So an aligned n is a site exactly when
-    lo < n < hi, and that window lies inside [2^scale, 2^(scale+1)).
+    complement (``strip_sites``).  So the scale's sites are the multiples
+    of m strictly inside (lo, hi), which lies inside [2^scale, 2^(scale+1)).
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -171,12 +168,10 @@ def site_window(p: int, level: int, scale: int) -> tuple[int, int]:
 
 
 def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
-    """Membership in the level's site set (selected scales only): n is
-    aligned, its low level + 1 + p bits 0, and lies inside the
-    ``site_window`` of its scale n.bit_length() - 1.  Every n <= 1 is
-    rejected: 0 and a negative n lie below every window, and 1 is not
-    aligned.
-    """
+    """The point test of the level's site set: n is aligned (its low
+    level + 1 + p bits 0) and inside the ``site_window`` of its scale
+    n.bit_length() - 1.  Every n <= 1 is rejected: 0 and a negative n lie
+    below every window, and 1 is not aligned."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if n & ((1 << level + 1 + params.p) - 1):
@@ -194,10 +189,12 @@ def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator
 
 
 def aligned_sites(params: SeparationParams, level: int, lo: int, hi: int) -> Iterator[int]:
-    """The level's sites in [lo, hi]: each aligned multiple of the modulus put
-    to ``in_site_set``; the modular twin of ``_site_ranges``."""
+    """The level's sites in [lo, hi], sorted: scale by scale, the multiples of
+    the modulus inside both that scale's ``site_window`` and [lo, hi]."""
     m = params.modulus(level)
-    return (k for k in range(-(-lo // m) * m, hi + 1, m) if in_site_set(params, level, k))
+    for scale in range(max(lo, 1).bit_length() - 1, hi.bit_length()):
+        wlo, whi = site_window(params.p, level, scale)
+        yield from range(max(wlo + m, -(-lo // m) * m), min(whi, hi + 1), m)
 
 
 def site_members(params: SeparationParams, level: int, horizon: int) -> list[int]:

@@ -339,8 +339,8 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     coefficient ``expansion_coefficient(av, n)`` has positive real part.
     They differ only in where the sites come from: ``sites`` takes the
     ``strip_sites`` lists (``site_members``); ``scan`` lists ``aligned_sites``,
-    the level's aligned multiples that pass the modular ``in_site_set`` test,
-    so it never touches the site lists.
+    which steps through each scale's ``site_window`` by the modulus, so it
+    never touches the site lists.
 
     The walk runs over offsets outside and sites inside.  For offset j the
     window 1 + j <= k <= horizon + j is cut out of the sorted list by
@@ -558,7 +558,7 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
     """Orbit steps n in [1, n_max] where the two routes to b(n) differ.
 
     The exact values are compared only where either route is nonzero.  The
-    exact route walks each active level's aligned sites k <= n_max + radius
+    exact route walks each active level's sites k <= n_max + radius per scale
     (``aligned_sites``) and records ``expansion_coefficient(av, k - j)`` for
     every offset j of the block with 1 <= k - j <= n_max.  That covers every
     nonzero b(n): ``expansion_coefficient`` returns a nonzero value only as

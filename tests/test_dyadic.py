@@ -214,15 +214,13 @@ class TestMembership:
         assert not in_site_set(params, 1, 41)  # misaligned
 
     def test_membership_needs_no_site_lists(self, params, monkeypatch):
-        # in_site_set is the modular route; it must not lean on the site lists,
-        # and a cold site_window cache makes every window be worked out here
+        # in_site_set is the modular route; it must not lean on the site lists
         horizon = 2 ** 14
         expected = {level: site_members(params, level, horizon) for level in range(1, 6)}
 
         def forbidden(*args):
             raise AssertionError("in_site_set reached the site-list route")
 
-        dyadic.site_window.cache_clear()
         for name in ("strip", "strip_sites", "site_members", "_site_ranges"):
             monkeypatch.setattr(dyadic, name, forbidden)
         for level, members in expected.items():
@@ -239,18 +237,47 @@ class TestMembership:
                         if scale % 5 in (0, 2)
                         for n in brute_sites(params, level, scale)]
             assert [n for n in range(limit) if in_site_set(params, level, n)] == expected
-            # aligned_sites walks a window [lo, hi] to the same set: windows
-            # from lo <= 0, with ends on multiples of the modulus, and around
-            # every strip boundary below 2^15
+            # aligned_sites walks a window [lo, hi] to the same set, and to
+            # what the per-multiple filter through in_site_set finds.  Windows
+            # at the walk's seams: from lo <= 0, empty ones with hi < lo, ends
+            # on a multiple of the modulus and one off it, and windows around
+            # every strip boundary and every 2^j below 2^15
             m = params.modulus(level)
-            windows = [(-m - 1, limit - 1), (0, 3 * m), (-5, 0), (m, 8 * m)]
-            windows += [(n, n) for n in expected[:1]]
+            windows = [(-m - 1, limit - 1), (0, 3 * m), (-5, 0), (m, 8 * m), (-limit, limit),
+                       (-m, m), (0, 0), (-1, 1), (5, 4), (0, -1), (-3, -7), (limit, 1)]
+            for n in expected[:2] + expected[-2:]:
+                windows += [(n, n), (n, n - 1), (n + 1, n - 1)]
+                windows += [(n + a, n + m + b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
             for scale in range(params.min_scale(level), 14):
                 for edge in strip(level, scale):
                     windows += [(edge - m, edge + m), (edge - 2 * m - 1, edge + 2 * m + 1)]
+            for j in range(15):
+                windows += [(2 ** j - 2 * m - 1, 2 ** j + 2 * m + 1), (2 ** j - 1, 2 ** j),
+                            (2 ** j - 1, 2 ** (j + 1))]
             for lo, hi in windows:
-                assert list(dyadic.aligned_sites(params, level, lo, hi)) == \
-                    [n for n in expected if lo <= n <= hi]
+                walked = list(dyadic.aligned_sites(params, level, lo, hi))
+                assert walked == [n for n in expected if lo <= n <= hi], (lo, hi)
+                assert walked == [k for k in range(-(-lo // m) * m, hi + 1, m)
+                                  if in_site_set(params, level, k)], (lo, hi)
+
+    def test_aligned_sites_reads_each_window_once(self, params, monkeypatch):
+        # the walk reads one site_window per scale and makes no point test
+        window, scales = dyadic.site_window, []
+
+        def counted(p, level, scale):
+            scales.append(scale)
+            return window(p, level, scale)
+
+        def forbidden(*args):
+            raise AssertionError("aligned_sites made a per-multiple in_site_set test")
+
+        monkeypatch.setattr(dyadic, "site_window", counted)
+        monkeypatch.setattr(dyadic, "in_site_set", forbidden)
+        for level in range(1, 7):
+            scales.clear()
+            assert list(dyadic.aligned_sites(params, level, 1, 2 ** 18)) == \
+                site_members(params, level, 2 ** 18)
+            assert len(scales) == len(set(scales)) <= 19, level  # scales 0..18
 
     def test_rejects_level_zero(self, params):
         for n in (0, 1, 40, 64):
@@ -684,14 +711,19 @@ class TestSuiteChecks:
             "condition": "class_limit", "level": 1, "q": 22,
             "ratio": "338243/8388608", "limit": "5/124"}
 
-    def test_class_limit_window_offset_is_tight(self):
-        # one scale earlier the ratio is too far off: at d = 62 (p = 6), level
-        # 3 has ms = 14, and its ratio at q = 20 = ms + 6 is over 2% off
+    def test_class_limit_shortfall_holds_below_the_window(self):
+        # at d = 62 (p = 6), level 3 has ms = 14, and q = 20 = ms + 6 lies
+        # below verify_class_limits' window: the exact shortfall identity it
+        # checks holds there too, so the window start only fixes the pinned
+        # q_range
         params = SeparationParams.with_min_p(62)
-        ms = params.min_scale(3)
-        limit = scale_mass_limit(20 % 5) / 2 ** ms
-        ratio = Fraction(count_sites(params, 3, 2 ** 21), 2 ** 21)
-        assert 20 - ms == 6 and abs(ratio - limit) > Fraction(2, 100) * limit
+        ms, q = params.min_scale(3), 20
+        assert q - ms == 6 and verify_class_limits(params, 3).range_["q_range"][0] > q
+        limit = scale_mass_limit(q % 5) / 2 ** ms
+        ratio = Fraction(count_sites(params, 3, 2 ** (q + 1)), 2 ** (q + 1))
+        shortfall = scale_mass_limit((ms - 1) % 5) + sum(
+            j % 5 in (0, 2) for j in range(ms, q + 1))
+        assert limit - ratio == shortfall / 2 ** (q + 1)
 
 
 class TestSeparationParams:

@@ -346,11 +346,9 @@ class TestSeriesOracle:
 
     def test_cross_check_needs_no_site_lists(self, enumerated_av, monkeypatch):
         # the exact side walks aligned sites; only the oracle reads site lists.
-        # A cold site_window cache and a fresh vector make every window be
-        # worked out here
+        # A fresh vector makes every window be worked out here
         horizon = 2 ** 14
         oracle = SeriesOracle(enumerated_av, horizon)
-        dyadic.site_window.cache_clear()
         av = fresh_copy(enumerated_av)
 
         def forbidden(*args):
@@ -554,11 +552,9 @@ class TestReturnSet:
 
     def test_scan_needs_no_site_lists(self, enumerated_av, monkeypatch):
         # the scan is the modular route; it must not lean on the site lists,
-        # and a cold site_window cache and a fresh vector make every window
-        # be worked out here
+        # and a fresh vector makes every window be worked out here
         horizon = 2 ** 14
         expected = return_set(enumerated_av, horizon, method="sites").members
-        dyadic.site_window.cache_clear()
         av = fresh_copy(enumerated_av)
 
         def forbidden(*args):

@@ -26,7 +26,8 @@ strip's ``strip_sites`` range (behind ``site_members``, ``count_sites``,
 list and steps by the modulus through each scale's ``site_window``, the open
 bounds of the level's sites read off the strip's bit form alone.  The point
 test ``in_site_set`` is the alignment mask plus that window, and
-``expansion_coefficient`` reads the same windows.
+``expansion_coefficient`` reads the same windows, shrunk by half a modulus
+at each end, at the bit length of the index it is asked for.
 
 Everything here is exact integer/rational arithmetic; per-scale counts use
 closed-form range arithmetic so horizons near 2^33 stay cheap.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .dyadic import (
@@ -172,20 +173,6 @@ def dense_family_blocks(budgets: LevelBudgets) -> dict[int, CoefficientBlock]:
     return blocks
 
 
-class _SiteWindows(dict):
-    """Bit length -> one level's ``site_window`` at scale bit length - 1,
-    filled on first read."""
-
-    __slots__ = ("p", "level")
-
-    def __init__(self, p: int, level: int) -> None:
-        self.p, self.level = p, level
-
-    def __missing__(self, length: int) -> tuple[int, int]:
-        window = self[length] = site_window(self.p, self.level, length - 1)
-        return window
-
-
 class AssembledVector:
     """The placed-block coefficient vector; immutable after construction.
 
@@ -217,13 +204,12 @@ class AssembledVector:
         self.blocks = {level: blocks[level] if level in blocks else CoefficientBlock(level, {})
                        for level in range(1, self.max_level + 1)}
 
-        # hot-path data for coefficient lookups: (-modulus, radius, coeffs,
-        # windows); x & -modulus floors x to a multiple of the power-of-two
-        # modulus, negative x included
+        # per active level: (m - 1, a_j keyed by -j mod m, bit length ->
+        # site_window shrunk by m/2 at each end, level), m its modulus
         self._lookup = tuple(
-            (-params.modulus(level), 2 ** level, block.coeffs, _SiteWindows(params.p, level))
-            for level, block in self.blocks.items()
-            if not block.is_zero
+            (mask, {-j & mask: a for j, a in block.coeffs.items()}, {}, level)
+            for level, block in self.blocks.items() if not block.is_zero
+            for mask in (params.modulus(level) - 1,)
         )
 
     @property
@@ -239,22 +225,32 @@ class AssembledVector:
 def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
     """b(index): the coefficient the assembly places at ``index`` (0 if uncovered).
 
-    A placed window of level s around site k has width 2^(s+1)+1, strictly
-    less than the level's alignment modulus, so at most one aligned
-    candidate k <= index + radius per level can cover the index.  Its offset
-    k - index is looked up first: a block holds only offsets |j| <= radius,
-    so a hit already implies k >= index - radius, and only then does the
-    site set settle it.  The candidate is aligned by construction, so it is
-    a site exactly when it lies inside the level's ``site_window`` for its
-    bit length, the test ``in_site_set`` makes after its mask.  An index
-    <= 1 finds only candidates <= 0, which lie below every window.
+    Per level, with alignment modulus m and radius r, b(index) is a_j when
+    index + j is a site for an offset j of the block.  Admissibility forces
+    p >= 1, so m = 2^(level+1+p) >= 4r and the offsets |j| <= r have
+    distinct residues mod m: ``index & (m - 1)`` names the only j with
+    k = index + j aligned, the one aligned integer within r of the index.
+
+    k is a site when lo < k < hi, (lo, hi) the ``site_window`` at k's bit
+    length; the test reads lo + m/2 < index < hi - m/2 at the index's bit
+    length instead.  lo and hi are multiples of m and |index - k| <= r <
+    m/2, so k lies in (lo, hi), that is in [lo + m, hi - m], exactly when
+    the index lies in the shrunk window, which lies inside
+    [2^scale, 2^(scale+1)), so the two share a bit length.  Unselected
+    scales keep (0, 0), which holds nothing, and every nonempty window lies
+    above 1, so an index <= 1 is never covered.
     """
-    for mask, radius, coeffs, windows in av._lookup:
-        k = (index + radius) & mask
-        hit = coeffs.get(k - index)
+    for mask, residues, windows, level in av._lookup:
+        hit = residues.get(index & mask)
         if hit is not None:
-            lo, hi = windows[k.bit_length()]
-            if lo < k < hi:
+            length = index.bit_length()
+            try:
+                lo, hi = windows[length]
+            except KeyError:
+                lo, hi = site_window(av.params.p, level, length - 1)
+                half = (mask + 1) >> 1
+                lo, hi = windows[length] = (lo + half, hi - half) if hi else (0, 0)
+            if lo < index < hi:
                 return hit
     return ZERO
 
@@ -351,11 +347,12 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     level's coefficient, a planted value) is judged by its own real part.
 
     The scan equals the per-index scan ``{n : Re b(n) > 0}`` for any block
-    contents, with no appeal to separation.  If Re b(n) > 0, then
-    ``expansion_coefficient`` returned the coefficient at offset k - n of
-    some level, for an aligned k <= n + radius inside its ``site_window``;
-    that offset is one of the level's positive offsets, so the walk
-    generates n.  Every walked n is confirmed by ``expansion_coefficient``.
+    contents, with no appeal to separation, only to p >= 1 (which
+    admissibility forces).  If Re b(n) > 0, then ``expansion_coefficient``
+    returned some level's a_j for the one offset j with n + j aligned, and
+    k = n + j is a site of that level; j is one of the level's positive
+    offsets, so the walk generates n = k - j.  Every walked n is confirmed
+    by ``expansion_coefficient``.
     Both routes are exact and must agree (the suite compares them).
 
     No member is generated twice: admissible parameters keep the placed
@@ -363,9 +360,10 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     (level, site, offset).  An overlap would list a shared n twice, not merge
     it, and so fail the identity with ``checkpoint_count``.
 
-    A member at offset 0 is the walked site's own int object, not a copy,
-    so at depth the return set adds no second copy of the site list's
-    integers (level 1 holds most sites and always has offset 0 positive).
+    Offset 0 walks the site list's own slice (offset j != 0 maps it through
+    k - j), so its members are the sites' own int objects: at depth the
+    return set adds no second copy of the site list's integers (level 1
+    holds most sites and always has offset 0 positive).
     It is confirmed like every other candidate.  Each level's list is
     dropped once walked, so sorting ``found`` holds no site list.
     """
@@ -386,9 +384,9 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
                  else site_members(av.params, level, limit))
         for j in offsets:
             a = block.coeffs[j]
-            for k in itertools.islice(sites, bisect_left(sites, 1 + j),
-                                      bisect_right(sites, horizon + j)):
-                n = k - j if j else k  # at offset 0 keep the site's own int
+            window = itertools.islice(sites, bisect_left(sites, 1 + j),
+                                      bisect_right(sites, horizon + j))
+            for n in map(sub, window, itertools.repeat(j)) if j else window:
                 b = coefficient(av, n)
                 if b is a or b.re_positive():
                     append(n)
@@ -562,9 +560,8 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
     (``aligned_sites``) and records ``expansion_coefficient(av, k - j)`` for
     every offset j of the block with 1 <= k - j <= n_max.  That covers every
     nonzero b(n): ``expansion_coefficient`` returns a nonzero value only as
-    the coefficient at offset k - n of some level, for an aligned
-    k <= n + radius inside its ``site_window``, so the walk generates that
-    n.  The oracle is read at every step the walk holds and every step it
+    some level's a_j for a site k = n + j of that level, so the walk
+    generates that n.  The oracle is read at every step the walk holds and every step it
     stores (``oracle.steps``); every other n is zero on both routes.
 
     ``expansion_coefficient`` and ``oracle.value`` are compared as exact

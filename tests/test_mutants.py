@@ -1,12 +1,14 @@
 """Mutant catalogue: each row plants one fault in one package function and
 runs the command line in process; the run must exit as the row says.
 
-A row is (mutant, the name it replaces, argv, expected exit).  The mutant is
-rebound in every package module that binds the original name, since
-``from .dyadic import ...`` copies the binding.  A failing check is data, so
-no row may end in an ``error:`` line.
+A row is (mutant, the name it replaces, argv, expected exit).  A function
+mutant is rebound in every package module that binds the original name,
+since ``from .dyadic import ...`` copies the binding; a ``Class.method``
+mutant replaces the method on its class.  A failing check is data, so no
+row may end in an ``error:`` line.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,38 @@ def site_window_drops_last(site_window):
     return mutant
 
 
+def min_scale_plus_one(min_scale):
+    """Each level's first scale one too high."""
+    return lambda self, level: min_scale(self, level) + 1
+
+
+def min_scale_minus_one(min_scale):
+    """Each level's first scale one too low."""
+    return lambda self, level: min_scale(self, level) - 1
+
+
+def class2_limit_off(scale_mass_limit):
+    """The class-2 limit L(2) off by 1/31."""
+    return lambda residue: scale_mass_limit(residue) + (Fraction(1, 31) if residue == 2 else 0)
+
+
+def hit_counts_drops_top_level(hit_counts):
+    """The highest level with hits left out of the per-level counts."""
+    def mutant(self):
+        counts = hit_counts(self)
+        del counts[max(level for level, hits in counts.items() if hits)]
+        return counts
+    return mutant
+
+
+def separation_flag_flipped(density_experiment):
+    """The experiment reports the opposite separation flag."""
+    def mutant(av, schedule):
+        experiment = density_experiment(av, schedule)
+        return experiment._replace(separation_flag=not experiment.separation_flag)
+    return mutant
+
+
 ROWS = [
     (count_sites_plus_one, "count_sites", ["verify", "--config", RUN_CFG], 1),
     (strip_sites_halved_at_level6, "strip_sites",
@@ -55,6 +89,18 @@ ROWS = [
     (site_window_drops_last, "site_window", ["all", "--d", "62"], 1),
     (site_window_drops_last, "site_window",
      ["all", "--d", "62", "--family", "enumerated"], 1),
+    (min_scale_plus_one, "SeparationParams.min_scale", ["verify", "--config", RUN_CFG], 1),
+    (min_scale_minus_one, "SeparationParams.min_scale", ["all", "--d", "62"], 1),
+    (class2_limit_off, "scale_mass_limit", ["all", "--config", RUN_CFG], 1),
+    # one-block has hits at level 1 alone, so its drop leaves no return set
+    (hit_counts_drops_top_level, "AssembledVector.hit_counts",
+     ["all", "--config", RUN_CFG, "--family", "enumerated"], 1),
+    pytest.param(hit_counts_drops_top_level, "AssembledVector.hit_counts",
+                 ["all", "--d", "62", "--family", "enumerated"], 1,
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "ROADMAP item 4: at d = 62 the 2^18 identity scan holds no "
+                     "level-6 site, and nothing else reads the counts on the vector"))),
+    (separation_flag_flipped, "density_experiment", ["all", "--config", RUN_CFG], 1),
 ]
 
 
@@ -68,7 +114,12 @@ def row_id(value):
 
 
 def plant(monkeypatch, mutant, name):
-    original = getattr(dyadic, name)
+    owner, _, method = name.rpartition(".")
+    if owner:
+        cls = getattr(orbitdensity, owner)
+        monkeypatch.setattr(cls, method, mutant(getattr(cls, method)))
+        return
+    original = getattr(orbitdensity, name)
     planted = mutant(original)
     for module in MODULES:
         if getattr(module, name, None) is original:

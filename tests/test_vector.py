@@ -228,7 +228,74 @@ def strip_reference(av, n):
     return total
 
 
+def offset_lookup(av):
+    """b(n) by the offset lookup: per level, the aligned candidate
+    k = (n + r) & -m, the block's coefficient at offset k - n, and
+    ``dyadic.in_site_set`` for k; the first level that hits wins."""
+    levels = [(level, -av.params.modulus(level), block.radius, block.coeffs)
+              for level, block in av.blocks.items() if not block.is_zero]
+
+    def reference(n):
+        for level, mask, radius, coeffs in levels:
+            k = (n + radius) & mask
+            a = coeffs.get(k - n)
+            if a is not None and dyadic.in_site_set(av.params, level, k):
+                return a
+        return ZERO
+
+    return reference
+
+
+def lookup_probes(av, seed):
+    """Every n within R + 3 of each active level's strip ends lo and hi, its
+    first and last sites lo + m and hi - m, and 2^scale and 2^(scale+1), for
+    every scale from min_scale to 70, with R the block's largest |offset|
+    (no offset reaches further; R is the radius r wherever the hand-built
+    family places an offset), plus -1, 0, 1 and a seeded sample from
+    [-2^20, 2^71)."""
+    params = av.params
+    probes = {-1, 0, 1}
+    for level in av.active_levels:
+        m = params.modulus(level)
+        reach = max(map(abs, av.blocks[level].coeffs)) + 3
+        for scale in range(params.min_scale(level), 71):
+            lo, hi = dyadic.strip(level, scale)
+            for anchor in (lo, lo + m, hi - m, hi, 2 ** scale, 2 ** (scale + 1)):
+                probes.update(range(anchor - reach, anchor + reach + 1))
+    rng = random.Random(seed)
+    probes.update(rng.randrange(-2 ** 20, 2 ** 71) for _ in range(500))
+    return probes
+
+
 class TestExpansionCoefficient:
+    @pytest.mark.parametrize("family", ["one-block", "enumerated", "hand-built"])
+    def test_matches_offset_lookup(self, op, family):
+        # the residue table and the shrunk index window return the very
+        # object the offset lookup and in_site_set pick, at levels 1-8; the
+        # lookup reads p alone, so each p of the sweep is checked once
+        budgets = build_level_budgets(op, 8)
+        blocks = family_blocks(family, budgets)
+        for params in {params.p: params for params in SWEEP}.values():
+            av = AssembledVector(params, op, budgets, blocks)
+            reference = offset_lookup(av)
+            for n in lookup_probes(av, params.p):
+                assert expansion_coefficient(av, n) is reference(n), (params.p, n)
+
+    @pytest.mark.parametrize("family", ["one_block_av", "enumerated_av"])
+    def test_window_cost_guard(self, request, monkeypatch, family):
+        # a fresh vector works out each level's window per bit length once
+        av = fresh_copy(request.getfixturevalue(family))
+        reads = []
+        exact = vector_module.site_window
+
+        def recorded(p, level, scale):
+            reads.append((level, scale))
+            return exact(p, level, scale)
+
+        monkeypatch.setattr(vector_module, "site_window", recorded)
+        assert return_set(av, 2 ** 18, "sites").members
+        assert reads and len(reads) == len(set(reads))
+
     @pytest.mark.parametrize("family", ["one-block", "enumerated", "hand-built"])
     def test_strip_ends_at_depth(self, op, family):
         # every strip of levels 1-8 from min_scale to 64, and at 202: at its
@@ -284,8 +351,8 @@ class TestExpansionCoefficient:
     @example(-64)
     @example(-2 ** 9 + 1)
     def test_zero_at_and_below_one(self, enumerated_av, mixed_av, n):
-        # the candidate site is floored by a mask, which for negative n must
-        # still land on a k <= 0 that no site set holds
+        # a negative n still finds a candidate offset by its residue, but
+        # every window it can read is (0, 0) or lies above 1
         assert expansion_coefficient(enumerated_av, n) == ZERO
         assert expansion_coefficient(mixed_av, n) == ZERO
 

@@ -20,14 +20,15 @@ normalized partial sums converge to different rational limits (denominator
 oscillates forever between two distinct values along the checkpoint
 horizons 2^(q+1).
 
-A level's sites are walked two ways: ``_site_ranges`` yields each selected
-strip's ``strip_sites`` range (behind ``site_members``, ``count_sites``,
-``first_site`` and ``verify_separation``); ``aligned_sites`` touches no site
-list and steps by the modulus through each scale's ``site_window``, the open
-bounds of the level's sites read off the strip's bit form alone.  The point
-test ``in_site_set`` is the alignment mask plus that window, and
-``expansion_coefficient`` reads the same windows, shrunk by half a modulus
-at each end, at the bit length of the index it is asked for.
+A level's sites at one scale are one ``range``, worked out two ways:
+``strip_sites`` reads it off ``strip`` and ``SeparationParams``, and
+``site_window`` off the strip's bit form and p alone, so the two compare with
+``==``.  ``_site_ranges`` yields the strip route's ranges (behind
+``site_members``, ``count_sites``, ``first_site`` and ``verify_separation``);
+the window route is the point test ``in_site_set``, range membership in the
+window of n's scale, ``aligned_sites``, which clips each scale's window to
+[lo, hi], and ``expansion_coefficient``, which reads the window at the bit
+length of the index it is asked for, shrunk by half a modulus at each end.
 
 Everything here is exact integer/rational arithmetic; per-scale counts use
 closed-form range arithmetic so horizons near 2^33 stay cheap.
@@ -144,11 +145,10 @@ def strip_sites(params: SeparationParams, level: int, scale: int) -> range:
     return range(lo + m, hi, m)
 
 
-def site_window(p: int, level: int, scale: int) -> tuple[int, int]:
-    """Open bounds (lo, hi) of the level's sites among the integers of bit
-    length ``scale + 1``, for alignment exponent ``p``:
-    (0, 0), which holds none, when the scale is unselected or below
-    ``min_scale(level)`` = 2 * level + p + 2.
+def site_window(p: int, level: int, scale: int) -> range:
+    """The level's sites among the integers of bit length ``scale + 1``, for
+    alignment exponent ``p``, sorted: empty when the scale is unselected or
+    below ``min_scale(level)`` = 2 * level + p + 2.
 
     With low = scale - level and w = 2^low, strip(level, scale) =
     [2^(scale+1) - 2w, 2^(scale+1) - w) = [top * w, (top + 1) * w) for
@@ -156,29 +156,24 @@ def site_window(p: int, level: int, scale: int) -> tuple[int, int]:
     modulus is m = 2^(level+1+p), and from ``min_scale`` on w is a multiple
     of m, so both strip ends are aligned: the aligned n in the strip are
     lo, lo + m, ..., hi - m, and all but lo lie a modulus away from the
-    complement (``strip_sites``).  So the scale's sites are the multiples
-    of m strictly inside (lo, hi), which lies inside [2^scale, 2^(scale+1)).
+    complement.  So the scale's sites are range(lo + m, hi, m), the
+    ``strip_sites`` range, which lies inside [2^scale, 2^(scale+1)).
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     if scale < 2 * level + p + 2 or scale % SCALE_PERIOD not in SELECTED_RESIDUES:
-        return 0, 0
+        return range(0)
     low = scale - level
     top = (2 << level) - 2
-    return top << low, (top + 1) << low
+    m = 2 << level + p
+    return range((top << low) + m, (top + 1) << low, m)
 
 
 def in_site_set(params: SeparationParams, level: int, n: int) -> bool:
-    """The point test of the level's site set: n is aligned (its low
-    level + 1 + p bits 0) and inside the ``site_window`` of its scale
-    n.bit_length() - 1.  Every n <= 1 is rejected: 0 and a negative n lie
-    below every window, and 1 is not aligned."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if n & ((1 << level + 1 + params.p) - 1):
-        return False
-    lo, hi = site_window(params.p, level, n.bit_length() - 1)
-    return lo < n < hi
+    """The point test of the level's site set: n is in the ``site_window`` of
+    its scale n.bit_length() - 1.  Every n <= 1 is rejected: the scales of 0
+    and 1 lie below every ``min_scale``, and a negative n below every window."""
+    return n in site_window(params.p, level, n.bit_length() - 1)
 
 
 def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator[range]:
@@ -190,12 +185,13 @@ def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator
 
 
 def aligned_sites(params: SeparationParams, level: int, lo: int, hi: int) -> Iterator[int]:
-    """The level's sites in [lo, hi], sorted: scale by scale, the multiples of
-    the modulus inside both that scale's ``site_window`` and [lo, hi]."""
+    """The level's sites in [lo, hi], sorted: scale by scale, that scale's
+    ``site_window`` with its start raised to the first multiple of the
+    modulus >= lo and its stop cut to hi + 1."""
     m = params.modulus(level)
     for scale in range(max(lo, 1).bit_length() - 1, hi.bit_length()):
-        wlo, whi = site_window(params.p, level, scale)
-        yield from range(max(wlo + m, -(-lo // m) * m), min(whi, hi + 1), m)
+        sites = site_window(params.p, level, scale)
+        yield from range(max(sites.start, -(-lo // m) * m), min(sites.stop, hi + 1), m)
 
 
 def site_members(params: SeparationParams, level: int, horizon: int) -> list[int]:

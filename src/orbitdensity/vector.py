@@ -205,7 +205,7 @@ class AssembledVector:
                        for level in range(1, self.max_level + 1)}
 
         # per active level: (m - 1, a_j keyed by -j mod m, bit length ->
-        # site_window shrunk by m/2 at each end, level), m its modulus
+        # site_window's start and stop less m/2, level), m its modulus
         self._lookup = tuple(
             (mask, {-j & mask: a for j, a in block.coeffs.items()}, {}, level)
             for level, block in self.blocks.items() if not block.is_zero
@@ -231,14 +231,14 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
     distinct residues mod m: ``index & (m - 1)`` names the only j with
     k = index + j aligned, the one aligned integer within r of the index.
 
-    k is a site when lo < k < hi, (lo, hi) the ``site_window`` at k's bit
-    length; the test reads lo + m/2 < index < hi - m/2 at the index's bit
-    length instead.  lo and hi are multiples of m and |index - k| <= r <
-    m/2, so k lies in (lo, hi), that is in [lo + m, hi - m], exactly when
-    the index lies in the shrunk window, which lies inside
-    [2^scale, 2^(scale+1)), so the two share a bit length.  Unselected
-    scales keep (0, 0), which holds nothing, and every nonempty window lies
-    above 1, so an index <= 1 is never covered.
+    k is a site when it lies in ``sites``, the ``site_window`` at k's bit
+    length; the test reads the window at the index's bit length instead.
+    The window's start and stop are multiples of m, k is aligned and
+    |index - k| <= r < m/2, so k in sites exactly when
+    sites.start - m/2 < index < sites.stop - m/2, an interval inside
+    [2^scale, 2^(scale+1)), so index and k share a bit length.  An empty
+    window holds no index between its start and stop, and every nonempty
+    one lies above 1, so an index <= 1 is never covered.
     """
     for mask, residues, windows, level in av._lookup:
         hit = residues.get(index & mask)
@@ -247,9 +247,9 @@ def expansion_coefficient(av: AssembledVector, index: int) -> GaussianRational:
             try:
                 lo, hi = windows[length]
             except KeyError:
-                lo, hi = site_window(av.params.p, level, length - 1)
+                sites = site_window(av.params.p, level, length - 1)
                 half = (mask + 1) >> 1
-                lo, hi = windows[length] = (lo + half, hi - half) if hi else (0, 0)
+                lo, hi = windows[length] = sites.start - half, sites.stop - half
             if lo < index < hi:
                 return hit
     return ZERO
@@ -335,8 +335,8 @@ def return_set(av: AssembledVector, horizon: int, method: str = "sites") -> Retu
     coefficient ``expansion_coefficient(av, n)`` has positive real part.
     They differ only in where the sites come from: ``sites`` takes the
     ``strip_sites`` lists (``site_members``); ``scan`` lists ``aligned_sites``,
-    which steps through each scale's ``site_window`` by the modulus, so it
-    never touches the site lists.
+    which clips each scale's ``site_window`` range, so it never touches the
+    site lists.
 
     The walk runs over offsets outside and sites inside.  For offset j the
     window 1 + j <= k <= horizon + j is cut out of the sorted list by
@@ -555,14 +555,16 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
                      n_max: int, tail_tol: float = 1e-12) -> list[int]:
     """Orbit steps n in [1, n_max] where the two routes to b(n) differ.
 
-    The exact values are compared only where either route is nonzero.  The
+    The exact values are compared only at the steps either route names.  The
     exact route walks each active level's sites k <= n_max + radius per scale
     (``aligned_sites``) and records ``expansion_coefficient(av, k - j)`` for
-    every offset j of the block with 1 <= k - j <= n_max.  That covers every
-    nonzero b(n): ``expansion_coefficient`` returns a nonzero value only as
-    some level's a_j for a site k = n + j of that level, so the walk
-    generates that n.  The oracle is read at every step the walk holds and every step it
-    stores (``oracle.steps``); every other n is zero on both routes.
+    every offset j of the block with 1 <= k - j <= n_max.  The oracle is
+    read at every step the walk holds and every step it stores
+    (``oracle.steps``).  Every other n is taken to be zero on both routes,
+    and the check does not verify that: ``expansion_coefficient`` returns a
+    nonzero value only as some level's a_j for a site k = n + j of that
+    level, so the walk generates every n where it is nonzero, but a value
+    planted at a step no placement generates is compared at no step.
 
     ``expansion_coefficient`` and ``oracle.value`` are compared as exact
     values, so any difference is flagged, not only one in the sign of the

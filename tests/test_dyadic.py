@@ -177,20 +177,18 @@ class TestMembership:
                                     (p, level, n)
 
     def test_site_window_is_the_strip_interior(self):
-        # reference: strip_sites' first and last site bound the window by one
-        # modulus; scales unselected or below min_scale hold no window
+        # reference: strip_sites at every selected scale from min_scale on;
+        # every other scale holds no site
         for p in (0, 1, 5, 19):
             params = SeparationParams(d=1, p=p)
             for level in range(1, 9):
-                m = params.modulus(level)
                 for scale in [*range(level, 70), 201, 202, 205]:
                     window = site_window(p, level, scale)
                     if scale < params.min_scale(level) or scale % 5 not in (0, 2):
-                        assert window == (0, 0), (p, level, scale)
+                        assert window == range(0), (p, level, scale)
                     else:
-                        sites = strip_sites(params, level, scale)
-                        assert window == (sites[0] - m, sites[-1] + m), (p, level, scale)
-                        assert window[1].bit_length() == scale + 1
+                        assert window == strip_sites(params, level, scale), (p, level, scale)
+                        assert window[-1].bit_length() == scale + 1
 
     def test_first_site_reads_the_strips(self, params, monkeypatch):
         # first_site is the strip route's answer, so it checks the window

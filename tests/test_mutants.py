@@ -9,6 +9,8 @@ row may end in an ``error:`` line.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -36,10 +38,50 @@ def strip_sites_halved_at_level6(strip_sites):
 
 def site_window_drops_last(site_window):
     """Each nonempty window loses its last site."""
-    def mutant(p, level, scale):
-        lo, hi = site_window(p, level, scale)
-        return (lo, hi - (2 << level + p)) if hi else (lo, hi)
+    return lambda p, level, scale: site_window(p, level, scale)[:-1]
+
+
+def level5_drop_past_first_window(expansion_coefficient):
+    """Every level >= 5 placement but the one at the level's first site reads ZERO."""
+    first_site = cache(dyadic.first_site)
+
+    def mutant(av, index):
+        for level in av.active_levels:
+            if level >= 5:
+                first = first_site(av.params, level)
+                for j in av.blocks[level].coeffs:
+                    if index + j != first and dyadic.in_site_set(av.params, level, index + j):
+                        return scalars.ZERO
+        return expansion_coefficient(av, index)
     return mutant
+
+
+def half_planted_past_level6_second_site(expansion_coefficient):
+    """b(k + 30) gains 1/2, k level 6's second site."""
+    second_site = cache(lambda params: next(islice(
+        dyadic.aligned_sites(params, 6, 1, 2 ** 400), 1, None)))
+
+    def mutant(av, index):
+        b = expansion_coefficient(av, index)
+        if index == second_site(av.params) + 30:
+            return b + scalars.GaussianRational(Fraction(1, 2))
+        return b
+    return mutant
+
+
+def lp_approach_error_at_level4(expansion_coefficient):
+    """b(n + 1) gains i/4 at every level-4 site n: imaginary, so no hit moves."""
+    def mutant(av, index):
+        b = expansion_coefficient(av, index)
+        if dyadic.in_site_set(av.params, 4, index - 1):
+            return b + scalars.GaussianRational(0, Fraction(1, 4))
+        return b
+    return mutant
+
+
+def one_off_every_placement(expansion_coefficient):
+    """b(1000) = 1, a step no placement generates."""
+    return lambda av, index: scalars.ONE if index == 1000 else expansion_coefficient(av, index)
 
 
 def min_scale_plus_one(min_scale):
@@ -101,6 +143,27 @@ ROWS = [
                      "ROADMAP item 4: at d = 62 the 2^18 identity scan holds no "
                      "level-6 site, and nothing else reads the counts on the vector"))),
     (separation_flag_flipped, "density_experiment", ["all", "--config", RUN_CFG], 1),
+    (level5_drop_past_first_window, "expansion_coefficient",
+     ["all", "--config", RUN_CFG, "--family", "enumerated"], 1),
+    pytest.param(level5_drop_past_first_window, "expansion_coefficient",
+                 ["all", "--d", "62", "--family", "enumerated"], 1,
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "ROADMAP item 4: at d = 62 only each level's first window "
+                     "is read on the vector at levels >= 5"))),
+    *(pytest.param(half_planted_past_level6_second_site, "expansion_coefficient",
+                   ["all", "--config", RUN_CFG, "--family", "enumerated", *omega], 1,
+                   marks=pytest.mark.xfail(strict=True, reason=(
+                       "ROADMAP item 5: vector samples levels <= 4, and only "
+                       "level 6's first window is read")))
+      for omega in ([], ["--omega", "3/2"])),
+    (lp_approach_error_at_level4, "expansion_coefficient",
+     ["vector", "--space", "lp:1000", "--family", "enumerated"], 1),
+    *(pytest.param(one_off_every_placement, "expansion_coefficient",
+                   ["all", "--config", RUN_CFG, "--family", family], 1,
+                   marks=pytest.mark.xfail(strict=True, reason=(
+                       "ROADMAP item 4: the cross-check compares only steps the "
+                       "placements generate or the oracle stores")))
+      for family in ("one-block", "enumerated")),
 ]
 
 
@@ -109,7 +172,7 @@ def row_id(value):
     if callable(value):
         return value.__name__
     if isinstance(value, (list, tuple)):
-        return " ".join(Path(arg).name for arg in value)
+        return " ".join("run.cfg" if arg == RUN_CFG else arg for arg in value)
     return None
 
 

@@ -37,7 +37,7 @@ closed-form range arithmetic so horizons near 2^33 stay cheap.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise
 from typing import Iterator, NamedTuple, Optional
 
 from .scalars import Frozen
@@ -187,11 +187,14 @@ def _site_ranges(params: SeparationParams, level: int, horizon: int) -> Iterator
 def aligned_sites(params: SeparationParams, level: int, lo: int, hi: int) -> Iterator[int]:
     """The level's sites in [lo, hi], sorted: scale by scale, that scale's
     ``site_window`` with its start raised to the first multiple of the
-    modulus >= lo and its stop cut to hi + 1."""
+    modulus >= lo and its stop cut to hi + 1.  The clipped ranges are chained,
+    so no generator frame runs per site."""
     m = params.modulus(level)
-    for scale in range(max(lo, 1).bit_length() - 1, hi.bit_length()):
-        sites = site_window(params.p, level, scale)
-        yield from range(max(sites.start, -(-lo // m) * m), min(sites.stop, hi + 1), m)
+    start, stop = -(-lo // m) * m, hi + 1
+    windows = (site_window(params.p, level, scale)
+               for scale in range(max(lo, 1).bit_length() - 1, hi.bit_length()))
+    return chain.from_iterable(
+        range(max(sites.start, start), min(sites.stop, stop), m) for sites in windows)
 
 
 def site_members(params: SeparationParams, level: int, horizon: int) -> list[int]:
@@ -222,12 +225,19 @@ def count_sites(params: SeparationParams, level: int, horizon: int) -> int:
 # ---------------------------------------------------------------------------
 
 def scale_mass(a: int, b: int) -> Fraction:
-    """2^(-b) * sum of 2^j over selected scales j with a < j <= b, exact."""
+    """2^(-b) * sum of 2^j over selected scales j with a < j <= b, exact.
+
+    Each selected residue r holds the scales first, first + 5, ...,
+    first + 5(k - 1) <= b, first the least j > a with j = r (mod 5), and
+    their 2^j sum to the geometric series 2^first * (32^k - 1) / 31.  So a
+    residue costs O(1), not one term per scale."""
     if a < 0 or b <= a:
         raise ValueError("need 0 <= a < b")
-    # each selected residue r steps over its scales j > a, j = r (mod 5)
-    total = sum(1 << j for r in SELECTED_RESIDUES
-                for j in range(a + 1 + (r - a - 1) % SCALE_PERIOD, b + 1, SCALE_PERIOD))
+    total = 0
+    for r in SELECTED_RESIDUES:
+        first = a + 1 + (r - a - 1) % SCALE_PERIOD
+        k = (b - first) // SCALE_PERIOD + 1  # first <= a + 5 < b + 5, so k >= 0
+        total += ((1 << SCALE_PERIOD * k) - 1) // (2 ** SCALE_PERIOD - 1) << first
     return Fraction(total, 2 ** b)
 
 
@@ -244,20 +254,19 @@ def mass_table_rows() -> tuple[list[tuple], int]:
     many exact checks they fail, S <= ``MASS_SUP_BOUND`` and the identity
     |S - limit| = 2^(a-b) * L(a mod 5), so a row failing both counts twice."""
     # the checks cross-multiply numerators and (positive) denominators;
-    # |S - limit| = diff / (s_den * l_den)
+    # |S - limit| = diff / (s_den * l_den).  The limits are read per call, not
+    # cached, so each call sees the scale_mass_limit in force
+    sup_num, sup_den = MASS_SUP_BOUND.as_integer_ratio()
+    limits = [scale_mass_limit(r).as_integer_ratio() for r in range(SCALE_PERIOD)]
     rows = []
     failures = 0
     for a in range(13):
-        tail = scale_mass_limit(a % SCALE_PERIOD)  # |S - limit| = tail * 2^(a-b)
-        t_num, t_den = tail.numerator, tail.denominator
+        t_num, t_den = limits[a % SCALE_PERIOD]  # |S - limit| = this * 2^(a-b)
         for b in range(a + 1, 66):
-            s = scale_mass(a, b)
-            limit = scale_mass_limit(b % SCALE_PERIOD)
-            sup = MASS_SUP_BOUND
-            s_num, s_den = s.numerator, s.denominator
-            l_num, l_den = limit.numerator, limit.denominator
+            s_num, s_den = scale_mass(a, b).as_integer_ratio()
+            l_num, l_den = limits[b % SCALE_PERIOD]
             diff = abs(s_num * l_den - l_num * s_den)
-            failures += (s_num * sup.denominator > sup.numerator * s_den) + (
+            failures += (s_num * sup_den > sup_num * s_den) + (
                 (diff * t_den) << (b - a) != t_num * s_den * l_den)
             rows.append((a, b, b % SCALE_PERIOD, s_num, s_den,
                          l_num, l_den, diff / (s_den * l_den)))

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .scalars import Frozen, GaussianRational
+from .scalars import ZERO, Frozen, GaussianRational
 
 
 class ShiftOperator(Frozen):
@@ -104,8 +104,9 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
     is the sum below that m plus that remainder.  The sum is
     top * (sum (|x| / top)^p)^(1/p) over the nonzero moduli |x|, top the
     largest: its largest term is 1, so no large p underflows it to 0, and
-    in c0 (p = inf) it is top, the sup norm.  Zero coordinates are skipped,
-    and each modulus comes from the exact square (``_modulus``), so a nonzero
+    in c0 (p = inf) it is top, the sup norm.  Zero coordinates are skipped:
+    the shared ``ZERO`` by identity, any other zero by its truth value.  Each
+    modulus comes from the exact square (``_modulus``), so a nonzero
     coordinate whose square underflows a float still counts.
     Raises ValueError when an unbounded range has no usable certificate.
     """
@@ -123,7 +124,8 @@ def vector_norm(op: ShiftOperator, vector: Coeffs, start: int,
         while tail > tail_tol:
             stop, tail = stop + 1, tail * ratio
 
-    moduli = [_modulus(value.abs_sq()) for value in map(vector, range(start, stop)) if value]
+    moduli = [_modulus(value.abs_sq()) for value in map(vector, range(start, stop))
+              if value is not ZERO and value]
     top = max(moduli, default=0.0)
     if top == 0.0:
         return tail

@@ -452,8 +452,10 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
     ``n`` must lie in the level's site set.  The difference vector has
     coordinates (b(n+m) - a(-m)) * w^(-m); the certified upper bound on its
     norm must stay within ``approach_bound`` plus ``tail_tol``.  A
-    coordinate where b(n+m) and a(-m) are both zero is ``ZERO`` without
-    forming the difference, and ``vector_norm`` skips it.
+    coordinate where b(n+m) and a(-m) are both the shared ``ZERO`` (an
+    uncovered index, an offset outside the block) is ``ZERO`` without forming
+    the difference; any other pair is subtracted, and a zero difference is
+    ``ZERO`` too, which ``vector_norm`` skips by identity.
     """
     bound = approach_bound(av, level)  # checks 1 <= level <= max_level
     if not in_site_set(av.params, level, n):
@@ -465,7 +467,7 @@ def verify_orbit_approach(av: AssembledVector, level: int, n: int,
 
     def coeff(m: int) -> GaussianRational:
         b, a = expansion_coefficient(av, n + m), block.coeffs.get(-m, ZERO)
-        if not (b or a):
+        if b is ZERO and a is ZERO:
             return ZERO
         delta = b - a
         return delta * (w ** -m) if delta else ZERO
@@ -568,9 +570,11 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
 
     ``expansion_coefficient`` and ``oracle.value`` are compared as exact
     values, so any difference is flagged, not only one in the sign of the
-    real part.  No float enters the comparison, so nothing reads
-    ``tail_tol``; it is still accepted for callers that pass it.  Empty
-    list = full agreement.
+    real part.  Identity is read first: both routes hand out the block's own
+    a_j object where one placement covers n, and one object equals itself;
+    two distinct objects are compared by value.  No float enters the
+    comparison, so nothing reads ``tail_tol``; it is still accepted for
+    callers that pass it.  Empty list = full agreement.
     """
     if n_max > oracle.horizon:
         raise ValueError("oracle horizon too small")
@@ -583,4 +587,5 @@ def sign_cross_check(av: AssembledVector, oracle: SeriesOracle,
                 if 1 <= n <= n_max:
                     exact[n] = expansion_coefficient(av, n)
     steps = exact.keys() | {n for n in oracle.steps() if n <= n_max}
-    return sorted(n for n in steps if exact.get(n, ZERO) != oracle.value(n))
+    return sorted(n for n in steps
+                  if (b := exact.get(n, ZERO)) is not (c := oracle.value(n)) and b != c)

@@ -399,6 +399,19 @@ class TestScaleMass:
         with pytest.raises(ValueError):
             scale_mass(3, 3)
 
+    def test_closed_form_matches_per_scale_sum(self):
+        # the geometric series per residue against one term per selected
+        # scale, the residue stepping it replaced, for every 0 <= a < b <= 300
+        def per_scale(a, b):
+            return Fraction(sum(
+                1 << j for r in dyadic.SELECTED_RESIDUES
+                for j in range(a + 1 + (r - a - 1) % dyadic.SCALE_PERIOD, b + 1,
+                               dyadic.SCALE_PERIOD)), 2 ** b)
+
+        for a in range(300):
+            for b in range(a + 1, 301):
+                assert scale_mass(a, b) == per_scale(a, b), (a, b)
+
     @given(st.integers(0, 199).flatmap(
         lambda a: st.tuples(st.just(a), st.integers(a + 1, 200))))
     @settings(max_examples=150)

@@ -84,6 +84,11 @@ def one_off_every_placement(expansion_coefficient):
     return lambda av, index: scalars.ONE if index == 1000 else expansion_coefficient(av, index)
 
 
+def scale_mass_short_by_tail(scale_mass):
+    """S(a, b) short by 2^(a-b): inside the convergence rate, off the identity."""
+    return lambda a, b: scale_mass(a, b) - Fraction(2 ** a, 2 ** b)
+
+
 def min_scale_plus_one(min_scale):
     """Each level's first scale one too high."""
     return lambda self, level: min_scale(self, level) + 1
@@ -134,6 +139,7 @@ ROWS = [
     (min_scale_plus_one, "SeparationParams.min_scale", ["verify", "--config", RUN_CFG], 1),
     (min_scale_minus_one, "SeparationParams.min_scale", ["all", "--d", "62"], 1),
     (class2_limit_off, "scale_mass_limit", ["all", "--config", RUN_CFG], 1),
+    (scale_mass_short_by_tail, "scale_mass", ["all", "--config", RUN_CFG], 1),
     # one-block has hits at level 1 alone, so its drop leaves no return set
     (hit_counts_drops_top_level, "AssembledVector.hit_counts",
      ["all", "--config", RUN_CFG, "--family", "enumerated"], 1),

@@ -214,6 +214,20 @@ class TestVectorNorm:
         interleaved = vector_norm(op, lambda m: sparse.get(m, zero), 0, 3 * len(values) + 2)
         assert alone > 0 and interleaved == alone
 
+    @pytest.mark.parametrize("space", SPACES)
+    def test_fresh_zero_reads_as_the_shared_zero(self, space):
+        # ZERO is skipped by identity, any other zero by its truth value, so a
+        # freshly built zero gives the same bound, bounded or with a decay tail
+        op = ShiftOperator(space_exponent=SPACES[space])
+        values = {1: GaussianRational(Fraction(3, 4), Fraction(-1, 2)),
+                  4: GaussianRational(Fraction(-1, 8))}
+        fresh = GaussianRational()
+        assert fresh is not ZERO and fresh == ZERO
+        for span in ({"stop": 6}, {"decay": (1.0, 0.5)}):
+            shared, built = (vector_norm(op, lambda m: values.get(m, zero), 0, **span)
+                             for zero in (ZERO, fresh))
+            assert shared > 0 and built == shared
+
     def test_triangle_inequality_seeded(self, op):
         rng = random.Random(7)
         for _ in range(50):

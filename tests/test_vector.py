@@ -402,6 +402,22 @@ class TestSeriesOracle:
         oracle._values[40] = oracle.value(40) + gr(0, 1)
         assert sign_cross_check(av, oracle, 64) == [40]
 
+    def test_identity_then_value(self, one_block_av):
+        # both routes hand out the block's own a_j; an oracle object that is
+        # not it is compared by value: flagged when it differs, not when equal
+        av = one_block_av
+        oracle = SeriesOracle(av, 64)
+        assert oracle.value(40) is expansion_coefficient(av, 40)
+        assert sign_cross_check(av, oracle, 64) == []
+        oracle._values[40] = GaussianRational(Fraction(1))
+        assert oracle.value(40) is not ONE
+        assert sign_cross_check(av, oracle, 64) == []
+        oracle._values[40] = gr(2)
+        assert sign_cross_check(av, oracle, 64) == [40]
+        oracle._values[40] = ONE
+        oracle._values[3] = GaussianRational()  # a fresh zero where b(3) is ZERO
+        assert sign_cross_check(av, oracle, 64) == []
+
     def test_flags_dropped_value(self, enumerated_av):
         # an oracle missing one covered nonzero value reads ZERO there
         horizon = 2 ** 11
@@ -795,6 +811,37 @@ class TestOrbitApproach:
         monkeypatch.setattr(vector_module, "expansion_coefficient",
                             lambda av, i: gr(2 ** 10) if i == planted else real(av, i))
         assert not verify_orbit_approach(one_block_av, level, n)
+
+    @pytest.mark.parametrize("fixture", ["one_block_av", "enumerated_av", "mixed_av"])
+    def test_fresh_zeros_give_the_same_verdict(self, request, monkeypatch, fixture):
+        # an uncovered coordinate that reads a freshly built zero in place of
+        # ZERO takes the subtraction path; the bound and verdict stay the same,
+        # for a planted failure too
+        av = request.getfixturevalue(fixture)
+        real_norm, real_coeff = vector_module.vector_norm, vector_module.expansion_coefficient
+
+        def outcome(level, n, planted, fresh):
+            def read(av, i):
+                b = gr(2 ** 10) if i in planted else real_coeff(av, i)
+                return GaussianRational() if fresh and b is ZERO else b
+
+            bounds = []
+
+            def recorded_norm(*args, **kwargs):
+                bounds.append(real_norm(*args, **kwargs))
+                return bounds[-1]
+
+            monkeypatch.setattr(vector_module, "expansion_coefficient", read)
+            monkeypatch.setattr(vector_module, "vector_norm", recorded_norm)
+            return verify_orbit_approach(av, level, n), bounds
+
+        rng = random.Random(17)
+        for level in range(1, 5):
+            for n in rng.sample(site_members(av.params, level, 2 ** 16), 2):
+                for planted in ((), (n + 2 ** level + 3,)):
+                    shared = outcome(level, n, planted, fresh=False)
+                    assert shared[0] is not bool(planted)
+                    assert outcome(level, n, planted, fresh=True) == shared
 
     @pytest.mark.parametrize("space", [3.0, 1000.0, math.inf], ids=["lp3", "lp1000", "c0"])
     def test_planted_error_fails_in_every_space(self, params, monkeypatch, space):
